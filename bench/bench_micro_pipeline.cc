@@ -90,6 +90,23 @@ void BM_CoachRevise(benchmark::State& state) {
 }
 BENCHMARK(BM_CoachRevise);
 
+/// Backbone retrieval alone: the agreement check and memory retrieval
+/// Revise makes per pair, over the fixture corpus.
+void BM_BackboneScore(benchmark::State& state) {
+  Fixture& fixture = SharedFixture();
+  const lm::BackboneModel& backbone = fixture.model->backbone();
+  size_t i = 0;
+  for (auto _ : state) {
+    const InstructionPair& pair = fixture.corpus.dataset[i++ % 2000];
+    benchmark::DoNotOptimize(
+        backbone.TopicalAgreement(pair.FullInstruction(), pair.output));
+    benchmark::DoNotOptimize(backbone.RetrieveRelevant(
+        pair.FullInstruction() + "\n" + pair.input, pair.output, 3));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_BackboneScore);
+
 /// Engine A/B on the same trained rules: state.range(0) selects the scan
 /// (0) or compiled (1) rule engine — the before/after pair behind the
 /// docs/RULE_ENGINE.md numbers.

@@ -552,7 +552,8 @@ InstructionDataset CoachLm::ReviseDataset(
     exec.ParallelFor(dataset.size(), [&](size_t i) {
       const InstructionPair& pair = dataset[i];
       RevisionPassStats& s = shard_stats[i];
-      if (training_instructions.count(lm::SerializePair(pair)) > 0) {
+      if (!training_instructions.empty() &&
+          training_instructions.count(lm::SerializePair(pair)) > 0) {
         // Leakage guard: instructions seen in coach training are adopted
         // unchanged in the revised dataset.
         ++s.total;
@@ -594,7 +595,8 @@ InstructionDataset CoachLm::ReviseDataset(
   auto revise_one = [&](size_t i) {
     RevisedItemRecord record;
     const InstructionPair& pair = dataset[i];
-    if (training_instructions.count(lm::SerializePair(pair)) > 0) {
+    if (!training_instructions.empty() &&
+        training_instructions.count(lm::SerializePair(pair)) > 0) {
       record.pair = pair;
       record.leakage_skipped = true;
       return record;

@@ -1,6 +1,7 @@
 #include "lm/backbone.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "synth/code_bank.h"
 #include "synth/topic_bank.h"
@@ -43,13 +44,20 @@ BackboneProfile ChatGlm26B() {
 
 namespace {
 
+/// One memory document before indexing: the retained sentences plus the
+/// association key (the sorted content words of the whole source document).
+struct SourceDoc {
+  std::vector<std::string> sentences;
+  std::vector<std::string> key_words;
+};
+
 /// Builds a memory document from a source text bundle, retaining each
 /// sentence with probability `coverage`. The key always includes the
 /// subject words (names anchor associations even for weak models).
-MemoryDoc BuildDoc(const std::string& subject,
+SourceDoc BuildDoc(const std::string& subject,
                    const std::vector<std::string>& sentences,
                    double coverage, Rng* rng) {
-  MemoryDoc doc;
+  SourceDoc doc;
   std::string key_source = subject;
   for (const std::string& sentence : sentences) {
     if (rng->NextBool(coverage)) {
@@ -57,9 +65,7 @@ MemoryDoc BuildDoc(const std::string& subject,
       key_source += " " + sentence;
     }
   }
-  const auto words = similarity::ContentWords(key_source);
-  doc.key_words.assign(words.begin(), words.end());
-  std::sort(doc.key_words.begin(), doc.key_words.end());
+  doc.key_words = similarity::SortedContentWords(key_source);
   return doc;
 }
 
@@ -68,85 +74,74 @@ MemoryDoc BuildDoc(const std::string& subject,
 BackboneModel::BackboneModel(BackboneProfile profile)
     : profile_(std::move(profile)) {
   Rng rng(profile_.pretrain_seed);
+  std::vector<SourceDoc> docs;
   for (const synth::Topic& topic : synth::Topics()) {
     std::vector<std::string> sentences;
     sentences.push_back(topic.fact);
     for (const std::string& detail : topic.details) {
       sentences.push_back(detail);
     }
-    MemoryDoc doc = BuildDoc(topic.name + " " + topic.domain, sentences,
+    SourceDoc doc = BuildDoc(topic.name + " " + topic.domain, sentences,
                              profile_.knowledge_coverage, &rng);
-    if (!doc.sentences.empty()) docs_.push_back(std::move(doc));
+    if (!doc.sentences.empty()) docs.push_back(std::move(doc));
   }
   for (const synth::CodeTask& task : synth::CodeTasks()) {
     // The code itself is part of the pre-training association key: code
     // identifiers anchor code questions to the right memory much more
     // reliably than the prose around them.
-    MemoryDoc doc = BuildDoc(task.name + " " + task.description + " " +
+    SourceDoc doc = BuildDoc(task.name + " " + task.description + " " +
                                  task.code + " " + task.buggy_code,
                              task.explanation,
                              profile_.knowledge_coverage, &rng);
-    if (!doc.sentences.empty()) docs_.push_back(std::move(doc));
+    if (!doc.sentences.empty()) docs.push_back(std::move(doc));
   }
-  for (const MemoryDoc& doc : docs_) {
-    for (const std::string& sentence : doc.sentences) {
+  mask_blocks_ = (docs.size() + 63) / 64;
+  for (size_t d = 0; d < docs.size(); ++d) {
+    for (const std::string& word : docs[d].key_words) {
+      const auto [it, inserted] =
+          word_ids_.emplace(word, static_cast<uint32_t>(word_ids_.size()));
+      if (inserted) doc_masks_.resize(doc_masks_.size() + mask_blocks_, 0);
+      uint64_t* mask = &doc_masks_[it->second * mask_blocks_];
+      mask[d / 64] |= uint64_t{1} << (d % 64);
+    }
+    for (const std::string& sentence : docs[d].sentences) {
       fluency_lm_.AddText(sentence);
     }
+    doc_sentences_.push_back(std::move(docs[d].sentences));
   }
 }
 
-double BackboneModel::DocScore(size_t doc_index,
-                               const std::string& text) const {
-  size_t count = 0;
-  size_t longest = 0;
-  return DocScoreDetailed(doc_index, text, &count, &longest);
-}
-
-double BackboneModel::DocScoreDetailed(size_t doc_index,
-                                       const std::string& text,
-                                       size_t* match_count,
-                                       size_t* longest_match) const {
-  const auto words = similarity::ContentWords(text);
-  return DocScoreDetailed(doc_index, words, match_count, longest_match);
-}
-
-double BackboneModel::DocScoreDetailed(
-    size_t doc_index, const std::unordered_set<std::string>& words,
-    size_t* match_count, size_t* longest_match) const {
-  const MemoryDoc& doc = docs_[doc_index];
-  *match_count = 0;
-  *longest_match = 0;
-  if (words.empty()) return 0.0;
-  double total = 0.0;
-  double matched = 0.0;
-  // COACHLM_LINT_ALLOW(determinism-unordered-serialization): summation order is pinned by the golden determinism suite for this stdlib — the pre-hoist path iterated the same per-call set, and sorting here would change the float sums and invalidate every golden. The one set object is reused across all docs of a query, so per-doc scores stay mutually consistent.
-  for (const std::string& word : words) {
-    const double weight = static_cast<double>(word.size());
-    total += weight;
-    if (std::binary_search(doc.key_words.begin(), doc.key_words.end(),
-                           word)) {
-      matched += weight;
-      ++*match_count;
-      *longest_match = std::max(*longest_match, word.size());
+BackboneModel::QueryTally BackboneModel::Tally(const std::string& text) const {
+  QueryTally tally;
+  tally.docs.resize(doc_sentences_.size());
+  for (const std::string& word : similarity::SortedContentWords(text)) {
+    const size_t length = word.size();
+    tally.total += length;
+    const auto it = word_ids_.find(word);
+    if (it == word_ids_.end()) continue;
+    const uint64_t* mask = &doc_masks_[it->second * mask_blocks_];
+    for (size_t block = 0; block < mask_blocks_; ++block) {
+      for (uint64_t bits = mask[block]; bits != 0; bits &= bits - 1) {
+        DocTally& doc = tally.docs[block * 64 + std::countr_zero(bits)];
+        doc.matched += length;
+        ++doc.count;
+        doc.longest = std::max(doc.longest, length);
+      }
     }
   }
-  return total > 0.0 ? matched / total : 0.0;
+  return tally;
 }
 
 std::vector<std::string> BackboneModel::RetrieveRelevant(
     const std::string& context, const std::string& existing,
     size_t max_sentences) const {
   constexpr double kActivationThreshold = 0.15;
-  // Tokenize the query once; every document is scored against the same
-  // word set (identical iteration order per doc, so identical sums).
-  const auto context_words = similarity::ContentWords(context);
+  const QueryTally tally = Tally(context);
   double best_score = 0.0;
-  size_t best_doc = docs_.size();
+  size_t best_doc = doc_sentences_.size();
   bool best_activates = false;
-  for (size_t i = 0; i < docs_.size(); ++i) {
-    size_t count = 0;
-    size_t longest = 0;
-    const double score = DocScoreDetailed(i, context_words, &count, &longest);
+  for (size_t i = 0; i < doc_sentences_.size(); ++i) {
+    const double score = tally.Score(i);
     if (score > best_score) {
       best_score = score;
       best_doc = i;
@@ -155,21 +150,22 @@ std::vector<std::string> BackboneModel::RetrieveRelevant(
       // subject name inside a long query should — either a high relative
       // score with a long matched word, or several matched words with at
       // least one discriminative one.
-      const bool discriminative = count >= 2 || longest >= 6;
-      const bool absolute = count >= 2 && longest >= 5;
+      const DocTally& doc = tally.docs[i];
+      const bool discriminative = doc.count >= 2 || doc.longest >= 6;
+      const bool absolute = doc.count >= 2 && doc.longest >= 5;
       best_activates =
           (score >= kActivationThreshold && discriminative) || absolute;
     }
   }
   std::vector<std::string> out;
-  if (best_doc == docs_.size() || !best_activates) {
+  if (best_doc == doc_sentences_.size() || !best_activates) {
     return out;  // the model does not know this subject
   }
   // Case-insensitive presence checks: revised text often carries a
   // decapitalized copy of a memory sentence after a discourse marker.
   const std::string existing_lower = strings::Lower(existing);
   const std::string context_lower = strings::Lower(context);
-  for (const std::string& sentence : docs_[best_doc].sentences) {
+  for (const std::string& sentence : doc_sentences_[best_doc]) {
     if (out.size() >= max_sentences) break;
     const std::string sentence_lower = strings::Lower(sentence);
     if (strings::Contains(existing_lower, sentence_lower)) continue;
@@ -181,16 +177,11 @@ std::vector<std::string> BackboneModel::RetrieveRelevant(
 
 double BackboneModel::TopicalAgreement(const std::string& a,
                                        const std::string& b) const {
-  const auto words_a = similarity::ContentWords(a);
-  const auto words_b = similarity::ContentWords(b);
+  const QueryTally tally_a = Tally(a);
+  const QueryTally tally_b = Tally(b);
   double best = 0.0;
-  for (size_t i = 0; i < docs_.size(); ++i) {
-    size_t count = 0;
-    size_t longest = 0;
-    const double score =
-        std::min(DocScoreDetailed(i, words_a, &count, &longest),
-                 DocScoreDetailed(i, words_b, &count, &longest));
-    best = std::max(best, score);
+  for (size_t i = 0; i < doc_sentences_.size(); ++i) {
+    best = std::max(best, std::min(tally_a.Score(i), tally_b.Score(i)));
   }
   return best;
 }

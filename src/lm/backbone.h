@@ -1,8 +1,9 @@
 #ifndef COACHLM_LM_BACKBONE_H_
 #define COACHLM_LM_BACKBONE_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,48 +38,24 @@ BackboneProfile Llama7B();
 BackboneProfile ChatGlm6B();
 BackboneProfile ChatGlm26B();
 
-/// \brief One "document" of pre-training memory: the sentences retained
-/// about a subject plus the association key (all content words that
-/// co-occurred with the subject during pre-training).
-struct MemoryDoc {
-  std::vector<std::string> sentences;
-  /// Lower-cased content words of the whole source document, weighted by
-  /// length (longer words are rarer and more discriminative).
-  std::vector<std::string> key_words;
-};
-
 /// \brief A backbone LLM: associative pre-training memory plus fluency.
 ///
 /// The memory is a per-subject document store built from the
-/// world-knowledge banks, with each document's sentences subsampled at
-/// `knowledge_coverage`. Retrieval is associative: a query activates the
-/// document whose key best covers the query's content words, standing in
-/// for conditional generation of topical content (the model "remembers"
-/// what co-occurred with the queried subject during pre-training). The
-/// n-gram LM trained on the same memory provides fluency scoring.
+/// world-knowledge banks. Each document holds the subject's sentences
+/// subsampled at `knowledge_coverage`, plus an association key: every
+/// content word that co-occurred with the subject during pre-training.
+/// Retrieval is associative: a query activates the document whose key best
+/// covers the query's content words, weighted by length (longer words are
+/// rarer and more discriminative). This stands in for conditional
+/// generation of topical content. The n-gram LM trained on the same memory
+/// provides fluency scoring.
+///
+/// The keys are stored inverted: each key word is interned once to a word
+/// id with a bitmask of the documents whose key holds it, so scoring a
+/// query against every document costs one lookup per query word.
 class BackboneModel {
  public:
   explicit BackboneModel(BackboneProfile profile);
-
-  /// Length-weighted fraction of \p text's content words covered by doc
-  /// \p doc_index's association key. In [0, 1].
-  double DocScore(size_t doc_index, const std::string& text) const;
-
-  /// DocScore plus match diagnostics: how many content words matched and
-  /// the longest match (discriminative single words like a topic name are
-  /// long; incidental matches like "show" are short).
-  double DocScoreDetailed(size_t doc_index, const std::string& text,
-                          size_t* match_count, size_t* longest_match) const;
-
-  /// DocScoreDetailed against a pre-tokenized query. The retrieval loops
-  /// score one query against *every* document, so they tokenize once with
-  /// similarity::ContentWords and reuse the set across docs — scoring the
-  /// same set object visits words in the same order as the string overload,
-  /// keeping the floating-point sums (and therefore every downstream byte)
-  /// identical.
-  double DocScoreDetailed(size_t doc_index,
-                          const std::unordered_set<std::string>& words,
-                          size_t* match_count, size_t* longest_match) const;
 
   /// Retrieves up to \p max_sentences unused sentences from the document
   /// best matching \p context (skipping sentences already in \p existing
@@ -102,11 +79,45 @@ class BackboneModel {
 
   const BackboneProfile& profile() const { return profile_; }
   const NgramLm& fluency_lm() const { return fluency_lm_; }
-  size_t num_docs() const { return docs_.size(); }
+  size_t num_docs() const { return doc_sentences_.size(); }
 
  private:
+  /// One query's evidence for one document, in integer word lengths.
+  struct DocTally {
+    size_t matched = 0;  ///< summed length of the matched words
+    size_t count = 0;    ///< how many content words matched
+    size_t longest = 0;  ///< length of the longest matched word
+  };
+
+  /// A query scored against every document at once.
+  struct QueryTally {
+    size_t total = 0;  ///< summed length of the query's content words
+    std::vector<DocTally> docs;
+
+    /// Length-weighted fraction of the query's content words covered by
+    /// doc \p i's key; 0 when the query has no content words. Both sums
+    /// are integers, so the quotient is the same whatever order the words
+    /// were visited in.
+    double Score(size_t i) const {
+      return total == 0 ? 0.0
+                        : static_cast<double>(docs[i].matched) /
+                              static_cast<double>(total);
+    }
+  };
+
+  /// Tokenizes \p text once into its distinct content words and tallies
+  /// them against every document through the word index.
+  QueryTally Tally(const std::string& text) const;
+
   BackboneProfile profile_;
-  std::vector<MemoryDoc> docs_;
+  /// Retained sentences of each memory document.
+  std::vector<std::vector<std::string>> doc_sentences_;
+  /// Interned key words: word -> word id.
+  std::unordered_map<std::string, uint32_t> word_ids_;
+  /// `mask_blocks_` words per word id; bit d set when doc d's key holds
+  /// the word.
+  std::vector<uint64_t> doc_masks_;
+  size_t mask_blocks_ = 0;
   NgramLm fluency_lm_;
 };
 

@@ -14,6 +14,10 @@ namespace similarity {
 /// Lower-cased non-stopword words of length >= 3.
 std::unordered_set<std::string> ContentWords(const std::string& text);
 
+/// The same words as ContentWords, sorted and without duplicates, so that
+/// iterating them cannot depend on hash order.
+std::vector<std::string> SortedContentWords(const std::string& text);
+
 /// Jaccard similarity of the content-word sets of \p a and \p b.
 double ContentOverlap(const std::string& a, const std::string& b);
 

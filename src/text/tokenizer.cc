@@ -41,30 +41,36 @@ std::vector<std::string> WhitespaceTokenize(const std::string& text) {
   return tokens;
 }
 
+std::string_view WordCore(std::string_view field) {
+  // Peel leading punctuation.
+  size_t begin = 0;
+  while (begin < field.size() && IsPunctChar(field[begin]) &&
+         field[begin] != '-') {
+    ++begin;
+  }
+  // Peel trailing punctuation.
+  size_t end = field.size();
+  while (end > begin && IsPunctChar(field[end - 1]) &&
+         // Keep in-word characters such as the period in "3.14" intact by
+         // only peeling when the remainder is not numeric-ish.
+         !(end >= 2 &&
+           std::isdigit(static_cast<unsigned char>(field[end - 2])) &&
+           field[end - 1] == '.' && end != field.size())) {
+    --end;
+  }
+  return field.substr(begin, end - begin);
+}
+
 std::vector<std::string> WordTokenize(const std::string& text) {
   std::vector<std::string> tokens;
-  for (std::string& field : WhitespaceTokenize(text)) {
-    // Peel leading punctuation.
-    size_t begin = 0;
-    while (begin < field.size() && IsPunctChar(field[begin]) &&
-           field[begin] != '-') {
-      tokens.push_back(std::string(1, field[begin]));
-      ++begin;
-    }
-    // Peel trailing punctuation (preserve order after the word).
-    size_t end = field.size();
-    std::vector<std::string> trailing;
-    while (end > begin && IsPunctChar(field[end - 1]) &&
-           // Keep in-word characters such as the period in "3.14" intact by
-           // only peeling when the remainder is not numeric-ish.
-           !(end >= 2 && std::isdigit(static_cast<unsigned char>(field[end - 2])) &&
-             field[end - 1] == '.' && end != field.size())) {
-      trailing.push_back(std::string(1, field[end - 1]));
-      --end;
-    }
-    if (end > begin) tokens.push_back(field.substr(begin, end - begin));
-    for (auto it = trailing.rbegin(); it != trailing.rend(); ++it) {
-      tokens.push_back(std::move(*it));
+  for (const std::string& field : WhitespaceTokenize(text)) {
+    const std::string_view core = WordCore(field);
+    const size_t begin = static_cast<size_t>(core.data() - field.data());
+    const size_t end = begin + core.size();
+    for (size_t i = 0; i < begin; ++i) tokens.emplace_back(1, field[i]);
+    if (!core.empty()) tokens.emplace_back(core);
+    for (size_t i = end; i < field.size(); ++i) {
+      tokens.emplace_back(1, field[i]);
     }
   }
   return tokens;

@@ -2,6 +2,7 @@
 #define COACHLM_TEXT_TOKENIZER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace coachlm {
@@ -17,6 +18,12 @@ namespace tokenizer {
 
 /// Splits \p text into word and punctuation tokens.
 std::vector<std::string> WordTokenize(const std::string& text);
+
+/// The word token WordTokenize keeps from one whitespace field: the field
+/// minus the leading and trailing punctuation it splits off as
+/// one-character tokens. Empty (pointing at the split point) when the
+/// field is all punctuation.
+std::string_view WordCore(std::string_view field);
 
 /// Splits \p text on whitespace only (fields keep punctuation).
 std::vector<std::string> WhitespaceTokenize(const std::string& text);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+
+#include "synth/generator.h"
 #include "synth/topic_bank.h"
 #include "text/string_util.h"
 
@@ -80,6 +84,84 @@ TEST(BackboneTest, CodeQuestionsAgreeThroughIdentifiers) {
   const std::string answer = "def fibonacci(n):\n    sequence = []\n"
                              "    a, b = 0, 1";
   EXPECT_GT(model.TopicalAgreement(question, answer), 0.3);
+}
+
+uint64_t Fnv1a(const std::string& text, uint64_t h) {
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Hash of the exact agreement bits and retrieved sentences a backbone
+/// yields over a seeded corpus: any change to a score's value, a
+/// tie-break, or an activation decision changes it.
+uint64_t ScoringHash(const BackboneModel& model,
+                     const InstructionDataset& dataset, size_t* retrieved) {
+  uint64_t h = 1469598103934665603ULL;
+  *retrieved = 0;
+  for (const InstructionPair& pair : dataset) {
+    char hex[64];
+    std::snprintf(hex, sizeof(hex), "%a",
+                  model.TopicalAgreement(pair.FullInstruction(), pair.output));
+    h = Fnv1a(hex, h);
+    for (const std::string& sentence : model.RetrieveRelevant(
+             pair.FullInstruction() + "\n" + pair.input, pair.output, 3)) {
+      h = Fnv1a(sentence, h);
+      h = Fnv1a("\x1f", h);
+      ++*retrieved;
+    }
+    h = Fnv1a("\x1e", h);
+  }
+  return h;
+}
+
+TEST(BackboneTest, ScoringIsBitIdenticalToStringKeyedScoring) {
+  synth::CorpusConfig config;
+  config.size = 500;
+  config.seed = 3;
+  const synth::SynthCorpus corpus =
+      synth::SynthCorpusGenerator(config).Generate();
+  // Recorded with the per-document sorted-string-key scorer that the
+  // word index replaced; the index must reproduce every bit of it.
+  const std::pair<BackboneProfile, uint64_t> expected[] = {
+      {Llama7B(), 0xbfd77f21b38f34f2ULL},
+      {ChatGlm6B(), 0xd8d43638203d89a9ULL},
+      {ChatGlm26B(), 0x583f488167931ef8ULL},
+  };
+  for (const auto& [profile, hash] : expected) {
+    size_t retrieved = 0;
+    EXPECT_EQ(ScoringHash(BackboneModel(profile), corpus.dataset, &retrieved),
+              hash)
+        << profile.name;
+    EXPECT_GT(retrieved, 100u) << profile.name;
+  }
+}
+
+TEST(BackboneTest, EdgeQueriesScoreAsDefined) {
+  const BackboneModel model(ChatGlm26B());
+  const synth::Topic* gravity = synth::FindTopicIn("gravity");
+  ASSERT_NE(gravity, nullptr);
+  const std::string on_topic = gravity->fact + " " + gravity->details[0];
+  // No content words on one side: agreement is exactly zero and nothing
+  // is retrieved.
+  for (const std::string& empty_side :
+       {std::string(), std::string("the and of with it is"),
+        std::string("a an to of ? ! ...")}) {
+    EXPECT_EQ(model.TopicalAgreement(empty_side, on_topic), 0.0) << empty_side;
+    EXPECT_EQ(model.TopicalAgreement(on_topic, empty_side), 0.0) << empty_side;
+    EXPECT_TRUE(model.RetrieveRelevant(empty_side, "", 3).empty())
+        << empty_side;
+  }
+  // A lone long subject word is discriminative on its own.
+  const auto lone = model.RetrieveRelevant("photosynthesis", "", 3);
+  ASSERT_FALSE(lone.empty());
+  EXPECT_GT(model.TopicalAgreement("photosynthesis", lone[0]), 0.0);
+  // Code identifiers reach the code task's memory.
+  const auto code = model.RetrieveRelevant("def fibonacci(n): sequence", "", 3);
+  ASSERT_FALSE(code.empty());
+  EXPECT_GT(model.TopicalAgreement("def fibonacci(n):", code[0]), 0.0);
 }
 
 TEST(BackboneTest, FluencyNoiseDeterministicAndBounded) {

@@ -373,22 +373,40 @@ TEST_F(DeadlineGovernanceTest, UncheckpointedBudgetedRunDegradesInPlace) {
   EXPECT_GT(cut_off, 0u);
 }
 
+/// A FakeClock whose virtual sleeps are observed by a stall watchdog the
+/// moment they happen, as a real-time watchdog thread would see a stage
+/// frozen mid-sleep. A background poller alone races the stage: once the
+/// sleep's virtual time is followed by the next Tick, the stall is no
+/// longer visible, and a fast enough stage can finish unobserved.
+class WatchedClock : public FakeClock {
+ public:
+  void SleepMicros(int64_t micros) override {
+    FakeClock::SleepMicros(micros);
+    if (watchdog_ != nullptr) watchdog_->Poll();
+  }
+  void set_watchdog(StallWatchdog* watchdog) { watchdog_ = watchdog; }
+
+ private:
+  StallWatchdog* watchdog_ = nullptr;
+};
+
 TEST_F(DeadlineGovernanceTest, WatchdogCancelsAFrozenStage) {
   // The stage "freezes": items stop Tick()ing because injected latency
-  // burns virtual time while the watchdog's stall budget is tiny. Poll is
-  // driven manually via a wrapper around the corpus walk.
-  FakeClock clock;
+  // burns virtual time while the watchdog's stall budget is tiny.
+  WatchedClock clock;
   PipelineRuntime runtime = MakeLatentRuntime(&clock);
   CancelToken token;  // no deadline: only the watchdog can trip it
   StallWatchdog watchdog(&clock, &token, "revise", /*stall_micros=*/500);
+  clock.set_watchdog(&watchdog);
   runtime.set_cancel_token(&token);
   runtime.set_watchdog(&watchdog);
   ExecutionContext exec(1);
   coach::RevisionPassStats stats;
   std::thread poller([&] {
-    // Background poller against the fake clock: spins until the first
-    // injected-latency sleep exceeds the stall budget.
-    while (!watchdog.Poll()) {
+    // Background poller against the fake clock, as a watchdog thread
+    // would run; it stops once the stall has been detected by either side.
+    while (!watchdog.fired()) {
+      watchdog.Poll();
       std::this_thread::yield();
     }
   });

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "text/lexicons.h"
+#include "text/string_util.h"
+#include "text/tokenizer.h"
+
 namespace coachlm {
 namespace similarity {
 namespace {
@@ -50,6 +57,39 @@ TEST(SimilarityTest, ContainmentPartial) {
 
 TEST(SimilarityTest, CaseInsensitive) {
   EXPECT_DOUBLE_EQ(ContentOverlap("GRAVITY Pulls", "gravity pulls"), 1.0);
+}
+
+/// Content words by definition: filter the WordTokenize token list.
+std::set<std::string> ReferenceContentWords(const std::string& text) {
+  std::set<std::string> words;
+  for (const std::string& token : tokenizer::WordTokenize(text)) {
+    if (tokenizer::IsPunctuation(token)) continue;
+    const std::string lower = strings::Lower(token);
+    if (lower.size() < 3) continue;
+    if (lexicons::Stopwords().count(lower) > 0) continue;
+    words.insert(lower);
+  }
+  return words;
+}
+
+TEST(SimilarityTest, ContentWordsMatchTokenizerDefinition) {
+  for (const std::string text :
+       {"", "   ", "The cat sat on a big mat.", "(Hello), world!!",
+        "pi is 3.14. Really 3.14", "--dash-word-- \"quoted\" 'single'",
+        "def fibonacci(n):\n    a, b = 0, 1\n\treturn a",
+        "...!!! ??? -- -.", "v2.0. 12. x.y.z. e.g. U.S.A.",
+        "MIXED Case WORDS, repeated words words WORDS",
+        "tabs\tand\nnewlines\r\nand  spaces", "a an the of is"}) {
+    const std::set<std::string> expected = ReferenceContentWords(text);
+    const auto unordered = ContentWords(text);
+    EXPECT_EQ(std::set<std::string>(unordered.begin(), unordered.end()),
+              expected)
+        << text;
+    const std::vector<std::string> sorted = SortedContentWords(text);
+    EXPECT_EQ(std::vector<std::string>(expected.begin(), expected.end()),
+              sorted)
+        << text;
+  }
 }
 
 }  // namespace
