@@ -107,28 +107,6 @@ void BM_BackboneScore(benchmark::State& state) {
 }
 BENCHMARK(BM_BackboneScore);
 
-/// Engine A/B on the same trained rules: state.range(0) selects the scan
-/// (0) or compiled (1) rule engine — the before/after pair behind the
-/// docs/RULE_ENGINE.md numbers.
-void BM_CoachReviseEngine(benchmark::State& state) {
-  Fixture& fixture = SharedFixture();
-  coach::CoachConfig config;
-  config.alpha = 0.3;
-  config.compiled_rules = state.range(0) == 1;
-  const coach::CoachLm model(config, fixture.model->rules());
-  Rng rng(2);
-  size_t i = 0;
-  size_t revised = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        model.Revise(fixture.corpus.dataset[i++ % 2000], &rng));
-    ++revised;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(revised));
-  state.SetLabel(config.compiled_rules ? "compiled" : "scan");
-}
-BENCHMARK(BM_CoachReviseEngine)->Arg(0)->Arg(1);
-
 /// Cost of one rule-store compilation — what every serve hot reload pays
 /// on top of reading the checkpoint.
 void BM_RuleCompile(benchmark::State& state) {

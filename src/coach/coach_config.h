@@ -29,10 +29,8 @@ struct CoachConfig {
   /// fluency self-consistency; see coach/verifier.h). Off by default to
   /// match the published system.
   bool verify_expansions = false;
-  /// Apply rules through the compiled matcher tables (docs/RULE_ENGINE.md)
-  /// instead of per-rule table probing. Output is byte-identical either
-  /// way — the equivalence suite pins that down — so this exists for A/B
-  /// benchmarking and as an escape hatch (`--rule-engine scan`).
+  /// No effect: rules are always applied through the one engine
+  /// (docs/RULE_ENGINE.md). Kept so callers that still assign it compile.
   bool compiled_rules = true;
 };
 

@@ -2,8 +2,7 @@
 
 #include "coach/verifier.h"
 
-#include <algorithm>
-#include <cmath>
+#include <cctype>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -19,32 +18,41 @@ namespace coachlm {
 namespace coach {
 namespace {
 
-/// Picks the i-th phrase (rotating) from a support table restricted to
-/// entries above min_support; empty when none qualify.
-std::string RotatingPhrase(const std::map<std::string, size_t>& table,
-                           size_t min_support, Rng* rng) {
-  const auto phrases = lm::RuleStore::PhrasesAbove(table, min_support);
+/// Picks a phrase from a rotation table by one RNG draw; empty (and no
+/// draw) when the table is empty.
+std::string RotatingPhrase(const std::vector<std::string>& phrases,
+                           Rng* rng) {
   if (phrases.empty()) return "";
   return phrases[rng->NextBelow(phrases.size())];
 }
 
-/// RotatingPhrase over a precompiled phrase vector (same contents as
-/// PhrasesAbove would return, frozen at compile time). The RNG is drawn
-/// only when the list is non-empty, exactly like RotatingPhrase — the two
-/// engines must consume identical RNG streams.
-std::string RotatingFromVector(const std::vector<std::string>& phrases,
-                               Rng* rng) {
-  if (phrases.empty()) return "";
-  return phrases[rng->NextBelow(phrases.size())];
-}
-
-/// Per-text firing/prefilter counters for the compiled engine. The sums
-/// are commutative, so parallel revision serializes them to the same
-/// bytes at any thread count.
-void EmitRuleFireMetrics(size_t fired, const lm::RuleMatcher& matcher) {
+/// Per-text count of rules that edited the text. The sums are
+/// commutative, so parallel revision serializes them to the same bytes at
+/// any thread count.
+void EmitRuleFireMetrics(size_t fired) {
   if (!Observability::Enabled()) return;
   CountMetric("rules.matches_fired", fired);
-  CountMetric("rules.prefilter_rejected", matcher.prefilter_rejected());
+}
+
+/// Freezes \p rules for application. A non-empty store's compile is
+/// reported through the rules.* metrics, timed on the observability clock
+/// so the deterministic report mode sees a schedule-independent duration.
+/// An α = 0 store never reaches the rule-application path (ReviseToText
+/// echoes), so its empty compile goes unreported.
+lm::CompiledRuleSet CompileRules(const lm::RuleStore& rules,
+                                 size_t min_support) {
+  if (!Observability::Enabled() || rules.empty()) {
+    return lm::CompiledRuleSet(rules, min_support);
+  }
+  Clock* clock = Observability::Default().clock();
+  const int64_t start_micros = clock->NowMicros();
+  lm::CompiledRuleSet compiled(rules, min_support);
+  CountMetric("rules.compiled");
+  CountMetric("rules.compile_micros",
+              static_cast<uint64_t>(clock->NowMicros() - start_micros));
+  SetGaugeMetric("rules.patterns",
+                 static_cast<int64_t>(compiled.num_patterns()));
+  return compiled;
 }
 
 /// The coach's subject guess for disambiguation: the first pair of
@@ -72,118 +80,48 @@ std::string GuessSubject(const InstructionPair& pair) {
 CoachLm::CoachLm(CoachConfig config, lm::RuleStore rules)
     : config_(std::move(config)),
       rules_(std::move(rules)),
-      backbone_(std::make_shared<lm::BackboneModel>(config_.backbone)) {
-  // An α = 0 store never reaches the rule-application path (ReviseToText
-  // echoes), so there is nothing worth compiling.
-  if (!config_.compiled_rules || rules_.empty()) return;
-  if (Observability::Enabled()) {
-    // Timed through the observability clock, so the deterministic report
-    // mode sees a schedule-independent duration.
-    Clock* clock = Observability::Default().clock();
-    const int64_t start_micros = clock->NowMicros();
-    compiled_ = std::make_shared<const lm::CompiledRuleSet>(
-        rules_, config_.min_rule_support);
-    CountMetric("rules.compiled");
-    CountMetric("rules.compile_micros",
-                static_cast<uint64_t>(clock->NowMicros() - start_micros));
-    SetGaugeMetric("rules.automaton_states",
-                   static_cast<int64_t>(
-                       compiled_->matcher_automaton().num_states()));
-    SetGaugeMetric("rules.patterns",
-                   static_cast<int64_t>(compiled_->num_patterns()));
-  } else {
-    compiled_ = std::make_shared<const lm::CompiledRuleSet>(
-        rules_, config_.min_rule_support);
-  }
-}
+      backbone_(std::make_shared<lm::BackboneModel>(config_.backbone)),
+      compiled_(CompileRules(rules_, config_.min_rule_support)) {}
 
 std::string CoachLm::ReviseInstruction(const InstructionPair& pair,
                                        Rng* rng) const {
-  if (compiled_ != nullptr) return ReviseInstructionCompiled(pair, rng);
   std::string text = pair.instruction;
-  const size_t min_support = config_.min_rule_support;
+  size_t fired = 0;
   // Learned word substitutions (spelling repairs the experts taught).
-  for (const auto& [from, targets] : rules_.token_subs) {
-    if (!strings::Contains(text, from)) continue;
-    const std::string to = rules_.BestSubstitution(from, min_support);
-    if (!to.empty()) text = strings::ReplaceAll(text, from, to);
+  for (const lm::CompiledTokenSub& sub : compiled_.token_subs()) {
+    if (!strings::Contains(text, sub.from)) continue;
+    text = strings::ReplaceAll(text, sub.from, sub.to);
+    ++fired;
   }
   // Learned clause removals (infeasible requirements).
-  for (const std::string& phrase :
-       lm::RuleStore::PhrasesAbove(rules_.strip_phrases, min_support)) {
+  for (const std::string& phrase : compiled_.strip_phrases()) {
     const size_t at = text.find(phrase);
-    if (at != std::string::npos) {
-      text.erase(at, phrase.size());
-      text = strings::CollapseWhitespace(text);
-    }
+    if (at == std::string::npos) continue;
+    text.erase(at, phrase.size());
+    text = strings::CollapseWhitespace(text);
+    ++fired;
   }
   // Learned filler disambiguation: a phrase replaced with *varying*
   // content across training pairs means "substitute the concrete subject".
-  for (const auto& [filler, replacements] : rules_.filler_replacements) {
-    if (replacements.size() < 2) continue;
+  for (const std::string& filler : compiled_.fillers()) {
     if (!strings::Contains(text, filler)) continue;
     const std::string subject = GuessSubject(pair);
     if (!subject.empty()) {
       text = strings::ReplaceAll(text, filler, subject);
+      ++fired;
     }
   }
-  if (rules_.capitalize_support >= min_support) {
+  if (compiled_.capitalize()) {
     text = repair::CapitalizeSentences(text);
   }
   // Learned context enrichment for bare instructions.
   if (strings::CountWords(text) < 12 &&
-      rng->NextBool(rules_.context_add_rate)) {
+      rng->NextBool(compiled_.context_add_rate())) {
     const std::string scaffold =
-        RotatingPhrase(rules_.context_exemplars, min_support, rng);
+        RotatingPhrase(compiled_.context_exemplars(), rng);
     if (!scaffold.empty()) text += " " + scaffold;
   }
-  return strings::Trim(text);
-}
-
-std::string CoachLm::ReviseInstructionCompiled(const InstructionPair& pair,
-                                               Rng* rng) const {
-  // Mirrors ReviseInstruction rule for rule: same families, same order,
-  // same RNG draws — only the "does this rule fire, and where?" question
-  // is answered by the shared matcher instead of per-rule string scans.
-  const lm::CompiledRuleSet& compiled = *compiled_;
-  std::string text = pair.instruction;
-  lm::RuleMatcher matcher(compiled, text);
-  size_t fired = 0;
-  for (const lm::CompiledTokenSub& sub : compiled.token_subs()) {
-    if (!matcher.Contains(sub.pattern, text)) continue;
-    text = strings::ReplaceAll(text, sub.from, sub.to);
-    matcher.NoteReplacement(sub.to);
-    ++fired;
-  }
-  for (const lm::CompiledPhrase& phrase : compiled.strip_phrases()) {
-    const size_t at = matcher.FirstBegin(phrase.pattern, text);
-    if (at == automaton::kNotFound) continue;
-    text.erase(at, phrase.text.size());
-    // CollapseWhitespace only removes or unifies whitespace (one
-    // fingerprint class), so this stays an erasure for the matcher.
-    text = strings::CollapseWhitespace(text);
-    matcher.NoteErasure();
-    ++fired;
-  }
-  for (const lm::CompiledPhrase& filler : compiled.fillers()) {
-    if (!matcher.Contains(filler.pattern, text)) continue;
-    const std::string subject = GuessSubject(pair);
-    if (!subject.empty()) {
-      text = strings::ReplaceAll(text, filler.text, subject);
-      matcher.NoteReplacement(subject);
-      ++fired;
-    }
-  }
-  if (compiled.capitalize()) {
-    text = repair::CapitalizeSentences(text);
-  }
-  if (strings::CountWords(text) < 12 &&
-      rng->NextBool(compiled.context_add_rate())) {
-    const std::string scaffold =
-        RotatingFromVector(compiled.context_exemplars(), rng);
-    if (!scaffold.empty()) text += " " + scaffold;
-  }
-  EmitRuleFireMetrics(fired, matcher);
+  EmitRuleFireMetrics(fired);
   return strings::Trim(text);
 }
 
@@ -193,14 +131,7 @@ std::string CoachLm::ComposeExpansion(const std::string& context,
   const auto retrieved =
       backbone_->RetrieveRelevant(context, existing, max_new);
   std::string out;
-  // The compiled markers vector is exactly what PhrasesAbove returns for
-  // this table, frozen at compile time — same contents, same order.
-  std::vector<std::string> markers_scratch;
-  const std::vector<std::string>& markers =
-      compiled_ != nullptr
-          ? compiled_->markers()
-          : (markers_scratch = lm::RuleStore::PhrasesAbove(
-                 rules_.markers, config_.min_rule_support));
+  const std::vector<std::string>& markers = compiled_.markers();
   const ExpansionVerifier verifier(backbone_.get());
   for (const std::string& sentence : retrieved) {
     std::string line = backbone_->ApplyFluencyNoise(sentence, rng);
@@ -257,97 +188,47 @@ std::string CoachLm::ComposeRewrite(const InstructionPair& pair,
 
 void CoachLm::ApplyResponseRepairs(std::string* text_out) const {
   std::string& text = *text_out;
-  const size_t min_support = config_.min_rule_support;
-  for (const auto& [from, targets] : rules_.token_subs) {
-    if (!strings::Contains(text, from)) continue;
-    const std::string to = rules_.BestSubstitution(from, min_support);
-    if (!to.empty()) text = strings::ReplaceAll(text, from, to);
+  size_t fired = 0;
+  for (const lm::CompiledTokenSub& sub : compiled_.token_subs()) {
+    if (!strings::Contains(text, sub.from)) continue;
+    text = strings::ReplaceAll(text, sub.from, sub.to);
+    ++fired;
   }
-  for (const std::string& opener :
-       lm::RuleStore::PhrasesAbove(rules_.opener_removals, min_support)) {
+  for (const std::string& opener : compiled_.openers()) {
     if (strings::StartsWith(text, opener)) {
       text = strings::Trim(text.substr(opener.size()));
+      ++fired;
       break;
     }
   }
   // Tone alignment: the experts' consistently warm outputs (high learned
   // closing rate) teach the model to drop robotic boilerplate, even when
   // no explicit opener-deletion example made it into C_alpha.
-  if (rules_.closing_rate > 0.3) {
+  if (compiled_.closing_rate() > 0.3) {
     const size_t opener_len = lm::MechanicalOpenerLength(text);
     if (opener_len > 0) {
       text = strings::Trim(text.substr(opener_len));
     }
   }
-  for (const std::string& token :
-       lm::RuleStore::PhrasesAbove(rules_.strip_tokens, min_support)) {
+  for (const std::string& token : compiled_.strip_tokens()) {
     if (strings::Contains(text, token)) {
       text = strings::Trim(strings::ReplaceAll(text, token, ""));
+      ++fired;
     }
   }
-  if (rules_.reflow_support >= min_support &&
-      !strings::Contains(text, "\n")) {
+  if (compiled_.reflow() && !strings::Contains(text, "\n")) {
     if (strings::Contains(text, " - ") || strings::Contains(text, " 2. ")) {
       text = repair::ReflowLists(text);
     }
     text = repair::CollapseSpaces(text);
   }
-  if (rules_.doubled_removal_support >= min_support &&
-      !strings::Contains(text, "\n")) {
+  if (compiled_.remove_doubled() && !strings::Contains(text, "\n")) {
     text = repair::RemoveDoubledWords(text);
   }
-  if (rules_.capitalize_support >= min_support) {
+  if (compiled_.capitalize()) {
     text = repair::CapitalizeSentences(text);
   }
-}
-
-void CoachLm::ApplyResponseRepairsCompiled(std::string* text_out) const {
-  // Mirrors ApplyResponseRepairs rule for rule; see ReviseInstructionCompiled.
-  const lm::CompiledRuleSet& compiled = *compiled_;
-  std::string& text = *text_out;
-  lm::RuleMatcher matcher(compiled, text);
-  size_t fired = 0;
-  for (const lm::CompiledTokenSub& sub : compiled.token_subs()) {
-    if (!matcher.Contains(sub.pattern, text)) continue;
-    text = strings::ReplaceAll(text, sub.from, sub.to);
-    matcher.NoteReplacement(sub.to);
-    ++fired;
-  }
-  for (const lm::CompiledPhrase& opener : compiled.openers()) {
-    if (matcher.StartsWith(opener.pattern, text)) {
-      text = strings::Trim(text.substr(opener.text.size()));
-      matcher.NoteErasure();
-      ++fired;
-      break;
-    }
-  }
-  if (compiled.closing_rate() > 0.3) {
-    const size_t opener_len = lm::MechanicalOpenerLength(text);
-    if (opener_len > 0) {
-      text = strings::Trim(text.substr(opener_len));
-      matcher.NoteErasure();
-    }
-  }
-  for (const lm::CompiledPhrase& token : compiled.strip_tokens()) {
-    if (matcher.Contains(token.pattern, text)) {
-      text = strings::Trim(strings::ReplaceAll(text, token.text, ""));
-      matcher.NoteErasure();
-      ++fired;
-    }
-  }
-  if (compiled.reflow() && !strings::Contains(text, "\n")) {
-    if (strings::Contains(text, " - ") || strings::Contains(text, " 2. ")) {
-      text = repair::ReflowLists(text);
-    }
-    text = repair::CollapseSpaces(text);
-  }
-  if (compiled.remove_doubled() && !strings::Contains(text, "\n")) {
-    text = repair::RemoveDoubledWords(text);
-  }
-  if (compiled.capitalize()) {
-    text = repair::CapitalizeSentences(text);
-  }
-  EmitRuleFireMetrics(fired, matcher);
+  EmitRuleFireMetrics(fired);
 }
 
 std::string CoachLm::ReviseResponse(const InstructionPair& pair,
@@ -363,27 +244,23 @@ std::string CoachLm::ReviseResponse(const InstructionPair& pair,
   const double relatedness =
       backbone_->TopicalAgreement(pair.FullInstruction(), text);
   const bool rewrite =
-      rules_.rewrite_overlap_threshold >= 0.0 &&
+      compiled_.rewrite_overlap_threshold() >= 0.0 &&
       (strings::Trim(text).empty() ||
-       relatedness < rules_.rewrite_overlap_threshold);
+       relatedness < compiled_.rewrite_overlap_threshold());
   if (rewrite) {
     const std::string fresh = ComposeRewrite(pair, context, rng);
     if (!fresh.empty()) {
       text = fresh;
     }
-  } else if (compiled_ != nullptr) {
-    ApplyResponseRepairsCompiled(&text);
   } else {
     ApplyResponseRepairs(&text);
   }
 
   // Learned expansion: grow thin responses toward the expert target
   // length, using backbone knowledge for content.
-  const double target_words = rules_.mean_target_response_words;
-  const size_t expansion_budget = static_cast<size_t>(std::clamp(
-      std::llround(rules_.mean_appended_sentences), 0LL, 4LL));
+  const double target_words = compiled_.mean_target_response_words();
   size_t added = 0;
-  while (added < expansion_budget &&
+  while (added < compiled_.expansion_budget() &&
          static_cast<double>(strings::CountWords(text)) + 10.0 <
              target_words) {
     const std::string expansion = ComposeExpansion(context, text, 1, rng);
@@ -396,11 +273,9 @@ std::string CoachLm::ReviseResponse(const InstructionPair& pair,
   // usually did) unless the response already ends on one.
   const std::string tail =
       text.size() > 120 ? text.substr(text.size() - 120) : text;
-  if (!lm::LooksLikeClosing(tail) && rng->NextBool(rules_.closing_rate)) {
-    const std::string closing =
-        compiled_ != nullptr
-            ? RotatingFromVector(compiled_->closings(), rng)
-            : RotatingPhrase(rules_.closings, config_.min_rule_support, rng);
+  if (!lm::LooksLikeClosing(tail) &&
+      rng->NextBool(compiled_.closing_rate())) {
+    const std::string closing = RotatingPhrase(compiled_.closings(), rng);
     if (!closing.empty() && !strings::Contains(text, closing)) {
       text += " " + closing;
     }
@@ -464,9 +339,9 @@ InstructionPair CoachLm::Revise(const InstructionPair& pair, Rng* rng,
 
 namespace {
 
-/// One pair's outcome in a fault-tolerant / checkpointed revision pass:
-/// the revised pair plus the per-item stat flags, serializable to one
-/// JSONL line so completed work survives a crash.
+/// One pair's outcome in a revision pass: the revised pair plus the
+/// per-item stat flags, serializable to one JSONL line so checkpointed
+/// work survives a crash.
 struct RevisedItemRecord {
   InstructionPair pair;
   bool invalid_replaced = false;
@@ -544,50 +419,10 @@ InstructionDataset CoachLm::ReviseDataset(
   if (runtime == nullptr) runtime = PipelineRuntime::Default();
   const bool checkpointed = checkpoint != nullptr && checkpoint->enabled();
 
-  if (!runtime->governed() && !checkpointed) {
-    // Hot path: no injection, no retry envelope, no journaling — exactly
-    // the schedule-independent pass the determinism suite pins down.
-    std::vector<InstructionPair> revised(dataset.size());
-    std::vector<RevisionPassStats> shard_stats(dataset.size());
-    exec.ParallelFor(dataset.size(), [&](size_t i) {
-      const InstructionPair& pair = dataset[i];
-      RevisionPassStats& s = shard_stats[i];
-      if (!training_instructions.empty() &&
-          training_instructions.count(lm::SerializePair(pair)) > 0) {
-        // Leakage guard: instructions seen in coach training are adopted
-        // unchanged in the revised dataset.
-        ++s.total;
-        ++s.leakage_skipped;
-        revised[i] = pair;
-        return;
-      }
-      // Deterministic per-pair stream: thread scheduling cannot change
-      // results.
-      Rng rng = DeriveRng(config_.seed, pair.id);
-      revised[i] = Revise(pair, &rng, &s);
-    });
-    // Serial fold in dataset order (the counters are commutative, but a
-    // fixed order keeps the path schedule-independent by construction).
-    RevisionPassStats totals;
-    for (const RevisionPassStats& s : shard_stats) {
-      totals.total += s.total;
-      totals.invalid_replaced += s.invalid_replaced;
-      totals.leakage_skipped += s.leakage_skipped;
-      totals.changed += s.changed;
-    }
-    EmitReviseMetrics(totals, revised);
-    if (stats != nullptr) {
-      stats->total += totals.total;
-      stats->invalid_replaced += totals.invalid_replaced;
-      stats->leakage_skipped += totals.leakage_skipped;
-      stats->changed += totals.changed;
-    }
-    return InstructionDataset(std::move(revised));
-  }
-
-  // Fault-tolerant / checkpointed path. Each item resolves to a record;
-  // revision runs under the runtime envelope so a permanently-failing pair
-  // degrades to its original text instead of aborting the pass.
+  // Each item resolves to a record under the runtime envelope, so a
+  // permanently-failing pair degrades to its original text instead of
+  // aborting the pass. An inactive runtime's envelope is one branch plus
+  // the call: the ungoverned pass runs this same loop.
   CancelToken* cancel = runtime->cancel_token();
   // In the non-checkpointed branch this marks which items the token cut
   // off, so they can be quarantined once, in index order, after the loop.

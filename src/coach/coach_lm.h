@@ -118,33 +118,18 @@ class CoachLm {
   const lm::BackboneModel& backbone() const { return *backbone_; }
   const CoachConfig& config() const { return config_; }
 
-  /// The compiled rule artifact (docs/RULE_ENGINE.md), built in the
-  /// constructor when config.compiled_rules is set; nullptr on the scan
-  /// engine. Immutable and owned via shared_ptr, so a hot reload that
-  /// builds a fresh CoachLm swaps rules and matcher tables as one
-  /// atomically published snapshot.
-  std::shared_ptr<const lm::CompiledRuleSet> compiled_rules() const {
-    return compiled_;
-  }
-
  private:
   std::string ReviseInstruction(const InstructionPair& pair, Rng* rng) const;
   std::string ReviseResponse(const InstructionPair& pair,
                              const std::string& new_instruction,
                              Rng* rng) const;
-  std::string ReviseInstructionCompiled(const InstructionPair& pair,
-                                        Rng* rng) const;
-  /// The wholesale-rewrite branch of response revision (shared by both
-  /// engines — it consults no surface rules). Returns the replacement
-  /// text, empty when generation produced nothing.
+  /// The wholesale-rewrite branch of response revision. Returns the
+  /// replacement text, empty when generation produced nothing.
   std::string ComposeRewrite(const InstructionPair& pair,
                              const std::string& context, Rng* rng) const;
-  /// The surface-repair block of response revision: scan engine (per-rule
-  /// table probing) and compiled engine (shared automaton scan) variants.
-  /// Both must edit \p text to the same bytes — the equivalence suite
-  /// pins this down.
+  /// The surface-repair block of response revision: the learned response
+  /// rules, applied in place in docs/RULE_ENGINE.md order.
   void ApplyResponseRepairs(std::string* text) const;
-  void ApplyResponseRepairsCompiled(std::string* text) const;
   std::string ComposeExpansion(const std::string& context,
                                const std::string& existing, size_t max_new,
                                Rng* rng) const;
@@ -152,7 +137,8 @@ class CoachLm {
   CoachConfig config_;
   lm::RuleStore rules_;
   std::shared_ptr<lm::BackboneModel> backbone_;
-  std::shared_ptr<const lm::CompiledRuleSet> compiled_;
+  /// rules_ frozen for application; built in the constructor.
+  lm::CompiledRuleSet compiled_;
 };
 
 }  // namespace coach

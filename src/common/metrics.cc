@@ -109,20 +109,15 @@ const std::vector<MetricDef>& MetricCatalog() {
       {"revise.response_chars", MetricType::kHistogram, "chars", "revise",
        "Distribution of revised response lengths in characters",
        kCharBuckets, std::size(kCharBuckets)},
-      {"rules.automaton_states", MetricType::kGauge, "states", "rules",
-       "States in the compiled rule automaton's dense DFA"},
       {"rules.compile_micros", MetricType::kCounter, "micros", "rules",
-       "Time spent compiling rule stores into matcher tables"},
+       "Time spent compiling rule stores for application"},
       {"rules.compiled", MetricType::kCounter, "compiles", "rules",
-       "Rule-store compilations (one per CoachLm built with the compiled "
-       "engine)"},
+       "Rule-store compilations (one per CoachLm built from a non-empty "
+       "store)"},
       {"rules.matches_fired", MetricType::kCounter, "matches", "rules",
-       "Compiled rules that fired (actually edited text) during revision"},
+       "Rules that fired (actually edited text) during revision"},
       {"rules.patterns", MetricType::kGauge, "patterns", "rules",
-       "Searchable patterns in the compiled rule automaton"},
-      {"rules.prefilter_rejected", MetricType::kCounter, "checks", "rules",
-       "Rule probes rejected by the O(1) fingerprint prefilter before any "
-       "string work"},
+       "Rules searched inside text in the last compiled rule set"},
       {"runtime.attempts_total", MetricType::kCounter, "attempts", "runtime",
        "Attempts consumed across all fault-tolerant Run() envelopes"},
       {"runtime.quarantined.collect", MetricType::kCounter, "items",

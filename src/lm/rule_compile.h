@@ -2,82 +2,49 @@
 #define COACHLM_LM_RULE_COMPILE_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "lm/rule_store.h"
-#include "text/match_automaton.h"
 
 namespace coachlm {
 namespace lm {
 
-/// \name Compiled rule engine
-///
-/// The scan-path inference in coach_lm.cc probes every learned table per
-/// pair: one hash/map walk plus a full substring scan per rule, and a
-/// fresh PhrasesAbove sort per family per call. Compilation hoists all of
-/// that to model-load time: the rule set becomes an immutable
-/// CompiledRuleSet — per-family rule vectors frozen in apply order, one
-/// Aho-Corasick automaton over every searched-inside pattern, and a
-/// character-class fingerprint per pattern for O(1) rejection. A
-/// RuleMatcher then answers "does rule R fire on this text, and where?"
-/// from one shared scan instead of per-rule string work, with the same
-/// answers the scan path computes — docs/RULE_ENGINE.md specifies the
-/// equivalence contract in full.
-/// @{
-
-/// \brief One precompiled substitution: `from` is an automaton pattern,
-/// `to` is the support-winning replacement (BestSubstitution), resolved
-/// at compile time. Entries whose best replacement is empty are dropped —
-/// the scan path probes them but never edits.
+/// \brief One precompiled substitution: `to` is the support-winning
+/// replacement for `from` (BestSubstitution), resolved at compile time.
+/// Entries whose best replacement is empty never edit text, so they are
+/// dropped.
 struct CompiledTokenSub {
   std::string from;
   std::string to;
-  uint32_t pattern = 0;
 };
 
-/// \brief One precompiled phrase rule: the literal plus its automaton
-/// pattern id.
-struct CompiledPhrase {
-  std::string text;
-  uint32_t pattern = 0;
-};
-
-/// \brief An immutable rule store compiled for fast application.
+/// \brief A rule store frozen for application.
 ///
-/// Everything CoachLm's apply path reads per pair is precomputed here
-/// once: family vectors in the exact order the scan path iterates
-/// (std::map order for token_subs and fillers, PhrasesAbove order — support
-/// desc, phrase asc — for the phrase tables), support gates resolved to
-/// booleans, and aggregate rates copied. The automaton holds every pattern
-/// searched *inside* text (token_subs froms, strip_phrases, fillers,
-/// opener_removals, strip_tokens); rotation tables (closings, markers,
-/// context_exemplars) are picked by index, never searched, so they compile
-/// to plain vectors. Move-only; share via shared_ptr<const CompiledRuleSet>
-/// — CoachLm does, so serve hot reload swaps the compiled artifact
-/// atomically with the model snapshot.
+/// Everything CoachLm's apply path reads per pair is resolved here once,
+/// at model load: family vectors in apply order (std::map order for
+/// token_subs and fillers, PhrasesAbove order — support desc, phrase asc —
+/// for the phrase tables), support gates resolved to booleans, and
+/// aggregate rates copied. The apply path probes the searched families
+/// (token_subs froms, strip_phrases, fillers, openers, strip_tokens) with
+/// plain string search; the rotation tables (markers, closings,
+/// context_exemplars) are picked by an RNG index. docs/RULE_ENGINE.md
+/// specifies the apply order and RNG draws.
 class CompiledRuleSet {
  public:
   CompiledRuleSet(const RuleStore& rules, size_t min_support);
 
-  CompiledRuleSet(const CompiledRuleSet&) = delete;
-  CompiledRuleSet& operator=(const CompiledRuleSet&) = delete;
-  CompiledRuleSet(CompiledRuleSet&&) = default;
-  CompiledRuleSet& operator=(CompiledRuleSet&&) = default;
-
-  /// \name Families, in apply order
+  /// \name Searched families, in apply order
   /// @{
   const std::vector<CompiledTokenSub>& token_subs() const {
     return token_subs_;
   }
-  const std::vector<CompiledPhrase>& strip_phrases() const {
+  const std::vector<std::string>& strip_phrases() const {
     return strip_phrases_;
   }
-  const std::vector<CompiledPhrase>& fillers() const { return fillers_; }
-  const std::vector<CompiledPhrase>& openers() const { return openers_; }
-  const std::vector<CompiledPhrase>& strip_tokens() const {
+  const std::vector<std::string>& fillers() const { return fillers_; }
+  const std::vector<std::string>& openers() const { return openers_; }
+  const std::vector<std::string>& strip_tokens() const {
     return strip_tokens_;
   }
   /// @}
@@ -108,21 +75,18 @@ class CompiledRuleSet {
   size_t expansion_budget() const { return expansion_budget_; }
   /// @}
 
-  const automaton::MatchAutomaton& matcher_automaton() const {
-    return *automaton_;
+  /// Rules searched inside text: the five searched families' sizes summed.
+  size_t num_patterns() const {
+    return token_subs_.size() + strip_phrases_.size() + fillers_.size() +
+           openers_.size() + strip_tokens_.size();
   }
-  const std::string& pattern_text(uint32_t id) const {
-    return pattern_texts_[id];
-  }
-  size_t num_patterns() const { return pattern_texts_.size(); }
-  size_t min_support() const { return min_support_; }
 
  private:
   std::vector<CompiledTokenSub> token_subs_;
-  std::vector<CompiledPhrase> strip_phrases_;
-  std::vector<CompiledPhrase> fillers_;
-  std::vector<CompiledPhrase> openers_;
-  std::vector<CompiledPhrase> strip_tokens_;
+  std::vector<std::string> strip_phrases_;
+  std::vector<std::string> fillers_;
+  std::vector<std::string> openers_;
+  std::vector<std::string> strip_tokens_;
   std::vector<std::string> markers_;
   std::vector<std::string> closings_;
   std::vector<std::string> context_exemplars_;
@@ -134,66 +98,7 @@ class CompiledRuleSet {
   double rewrite_overlap_threshold_ = -1.0;
   double mean_target_response_words_ = 0.0;
   size_t expansion_budget_ = 0;
-  size_t min_support_ = 0;
-  std::vector<std::string> pattern_texts_;
-  std::unique_ptr<const automaton::MatchAutomaton> automaton_;
 };
-
-/// \brief Per-text match oracle over a CompiledRuleSet.
-///
-/// Construct one per instruction/response. While the text is unmutated the
-/// matcher's answers are exact and come from the fingerprint prefilter
-/// plus (lazily, at most once) a single automaton pass — zero per-rule
-/// string scans. The apply loop must report every edit via
-/// NoteReplacement/NoteErasure; once mutated, the matcher degrades safely:
-/// a pattern whose character classes cannot all occur in the mutated text
-/// (original classes ∪ classes of inserted strings — erasure and
-/// rearrangement mint no new classes) is still rejected in O(1), and
-/// anything else falls back to a direct string probe on the current text.
-/// Either way the answers equal what strings::Contains / find / StartsWith
-/// would say, which is the byte-identity contract.
-class RuleMatcher {
- public:
-  /// \p rules must outlive the matcher. \p original is fingerprinted here
-  /// but not retained.
-  RuleMatcher(const CompiledRuleSet& rules, const std::string& original);
-
-  /// Equivalent of strings::Contains(current, pattern).
-  bool Contains(uint32_t pattern, const std::string& current);
-
-  /// Equivalent of current.find(pattern) — automaton::kNotFound for npos.
-  size_t FirstBegin(uint32_t pattern, const std::string& current);
-
-  /// Equivalent of strings::StartsWith(current, pattern).
-  bool StartsWith(uint32_t pattern, const std::string& current);
-
-  /// Report an edit that inserted \p inserted (ReplaceAll's `to`, a
-  /// subject, ...): its character classes join the reachable set.
-  void NoteReplacement(const std::string& inserted);
-
-  /// Report an edit that only removed or rearranged existing characters
-  /// (erase, Trim, CollapseWhitespace, strip-to-empty ReplaceAll).
-  void NoteErasure() { mutated_ = true; }
-
-  /// Probes answered by the O(1) fingerprint gate alone (no automaton or
-  /// string work).
-  size_t prefilter_rejected() const { return prefilter_rejected_; }
-
- private:
-  void EnsureScanned(const std::string& current);
-
-  const CompiledRuleSet& rules_;
-  automaton::ClassFingerprint original_fp_;
-  /// Classes that could occur anywhere in the current text: the original's
-  /// plus every inserted string's.
-  uint64_t reachable_mask_ = 0;
-  bool mutated_ = false;
-  bool scanned_ = false;
-  std::vector<size_t> first_begin_;
-  size_t prefilter_rejected_ = 0;
-};
-
-/// @}
 
 }  // namespace lm
 }  // namespace coachlm

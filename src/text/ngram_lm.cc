@@ -120,52 +120,4 @@ double NgramLm::Perplexity(const std::string& text) const {
   return std::pow(10.0, -logp / static_cast<double>(n));
 }
 
-std::vector<std::string> NgramLm::Sample(
-    const std::vector<std::string>& context, size_t max_tokens, Rng* rng,
-    double temperature) const {
-  std::vector<std::string> out;
-  if (total_tokens_ == 0 || max_tokens == 0) return out;
-  uint32_t a = Vocab::kBos;
-  uint32_t b = Vocab::kBos;
-  if (!context.empty()) {
-    if (context.size() >= 2) a = vocab_.Lookup(context[context.size() - 2]);
-    b = vocab_.Lookup(context.back());
-  }
-  temperature = std::clamp(temperature, 0.05, 5.0);
-  // Candidate pool: words seen after the current bigram context, falling
-  // back to the unigram-frequent vocabulary.
-  for (size_t step = 0; step < max_tokens; ++step) {
-    std::vector<uint32_t> candidates;
-    auto ctx = trigram_.find(MakeKey(a, b));
-    if (ctx != trigram_.end()) {
-      for (const auto& [w, c] : ctx->second) {
-        (void)c;
-        candidates.push_back(w);
-      }
-    }
-    if (candidates.size() < 3) {
-      // Back off: most frequent unigrams.
-      // COACHLM_LINT_ALLOW(determinism-unordered-serialization): candidate order is pinned by the golden determinism suite for this stdlib; sorting here would change sampled text and invalidate every golden. Cross-stdlib portability of sampled text is a documented caveat (DESIGN.md §Static guarantees).
-      for (const auto& [w, c] : unigram_) {
-        if (c >= 2) candidates.push_back(w);
-        if (candidates.size() > 200) break;
-      }
-    }
-    if (candidates.empty()) break;
-    std::vector<double> weights;
-    weights.reserve(candidates.size());
-    for (uint32_t w : candidates) {
-      const double p = InterpolatedProb(a, b, w);
-      weights.push_back(std::pow(p, 1.0 / temperature));
-    }
-    const uint32_t next = candidates[rng->NextCategorical(weights)];
-    if (next == Vocab::kEos) break;
-    if (next == Vocab::kUnk || next == Vocab::kBos) continue;
-    out.push_back(vocab_.Token(next));
-    a = b;
-    b = next;
-  }
-  return out;
-}
-
 }  // namespace coachlm

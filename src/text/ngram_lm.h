@@ -6,17 +6,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.h"
 #include "text/vocab.h"
 
 namespace coachlm {
 
 /// \brief Interpolated trigram language model with additive smoothing.
 ///
-/// Stands in for the backbone LLM's generative fluency. The expansion
-/// component of CoachLM (lm/expansion_model.h) samples continuation text
-/// from this model, and the quality analyzers use its perplexity as a
-/// fluency signal. Small and exact — no GPU, fully deterministic.
+/// Stands in for the backbone LLM's fluency judgement: the backbone
+/// (lm/backbone.h) trains one on its knowledge, and the expansion verifier
+/// (coach/verifier.h) uses its perplexity as a fluency signal. Small and
+/// exact — no GPU, fully deterministic.
 class NgramLm {
  public:
   /// \param order n-gram order in {1, 2, 3}.
@@ -34,13 +33,6 @@ class NgramLm {
   /// Per-token perplexity of the text; lower is more fluent. Returns a
   /// large sentinel (1e9) for empty input or an untrained model.
   double Perplexity(const std::string& text) const;
-
-  /// Samples up to \p max_tokens continuing \p context, stopping at
-  /// end-of-sentence. Temperature < 1 sharpens toward high-probability
-  /// words (a "stronger backbone" generates more fluent text).
-  std::vector<std::string> Sample(const std::vector<std::string>& context,
-                                  size_t max_tokens, Rng* rng,
-                                  double temperature = 1.0) const;
 
   /// Total tokens observed in training.
   size_t train_tokens() const { return total_tokens_; }

@@ -150,15 +150,6 @@ constexpr char kUsage[] =
     "COACHLM_THREADS or hardware concurrency); results are byte-identical\n"
     "at any thread count.\n"
     "\n"
-    "rule engine (train, revise, serve, pipeline; docs/RULE_ENGINE.md):\n"
-    "  --rule-engine E         compiled|scan (default: compiled). compiled\n"
-    "                          freezes the learned rules into a shared\n"
-    "                          match automaton with a fingerprint\n"
-    "                          prefilter; scan probes the raw rule tables\n"
-    "                          per call. Output is byte-identical either\n"
-    "                          way — scan is the escape hatch for\n"
-    "                          bisecting the compiled engine itself\n"
-    "\n"
     "fault tolerance (generate, revise, pipeline):\n"
     "  --fault-plan SPEC       inject deterministic faults, e.g. \"0.05\" or\n"
     "                          \"rate=0.05,permanent=0.001,seed=7,\n"
@@ -197,13 +188,6 @@ constexpr char kUsage[] =
     "                          utilization zeroed — so a seeded run's\n"
     "                          report is byte-identical at any thread\n"
     "                          count (default: COACHLM_METRICS_DETERMINISTIC=1)\n";
-
-/// `--rule-engine compiled|scan` → CoachConfig::compiled_rules. Validated
-/// in ValidateFlags, so by the time a runner asks, the value is one of the
-/// two engines (docs/RULE_ENGINE.md).
-bool CompiledRulesFlag(const Flags& flags) {
-  return flags.GetString("rule-engine", "compiled") != "scan";
-}
 
 /// The command's execution context, sized by --threads (0 = default:
 /// COACHLM_THREADS, then hardware concurrency). Commands run once per
@@ -436,7 +420,6 @@ Status RunTrain(const Flags& flags) {
   coach::CoachConfig config;
   config.alpha = flags.GetDouble("alpha", 0.3);
   config.backbone = BackboneByName(flags.GetString("backbone", "chatglm2"));
-  config.compiled_rules = CompiledRulesFlag(flags);
   const coach::CoachLm model = [&] {
     const StageSpan train_span("train");
     return coach::CoachTrainer(config).Train(revisions);
@@ -459,7 +442,6 @@ Status RunRevise(const Flags& flags) {
   config.alpha = flags.GetDouble("alpha", 0.3);
   config.backbone = BackboneByName(flags.GetString("backbone", "chatglm2"));
   config.verify_expansions = flags.Has("verify");
-  config.compiled_rules = CompiledRulesFlag(flags);
   COACHLM_ASSIGN_OR_RETURN(
       coach::CoachLm model,
       coach::CoachLm::LoadCheckpoint(
@@ -709,7 +691,6 @@ Status RunPipeline(const Flags& flags) {
   coach_config.alpha = flags.GetDouble("alpha", 0.3);
   coach_config.backbone =
       BackboneByName(flags.GetString("backbone", "chatglm2"));
-  coach_config.compiled_rules = CompiledRulesFlag(flags);
 
   std::unique_ptr<StageCheckpointer> checkpoint = MakeCheckpointer(
       flags, "pipeline-revise",
@@ -872,7 +853,6 @@ Status RunServe(const Flags& flags) {
   config.coach.backbone =
       BackboneByName(flags.GetString("backbone", "chatglm2"));
   config.coach.verify_expansions = flags.Has("verify");
-  config.coach.compiled_rules = CompiledRulesFlag(flags);
   config.parse_limits = json::ParseLimits::Default();
   if (flags.Has("fault-plan")) {
     COACHLM_ASSIGN_OR_RETURN(config.fault_plan,
@@ -988,14 +968,6 @@ Status ValidateFlags(const Flags& flags) {
     COACHLM_RETURN_NOT_OK(
         ParseCorpusFormat(flags.GetString("format")).status());
   }
-  if (flags.Has("rule-engine")) {
-    const std::string engine = flags.GetString("rule-engine");
-    if (engine != "compiled" && engine != "scan") {
-      return Status::InvalidArgument(
-          "--rule-engine must be 'compiled' or 'scan' (got '" + engine +
-          "'); see docs/RULE_ENGINE.md");
-    }
-  }
   if (flags.command() == "serve") {
     // The daemon is not a batch run: flags that steer batch I/O,
     // checkpoint/resume, or the whole-run deadline have no meaning for a
@@ -1104,7 +1076,7 @@ int Main(int argc, char** argv) {
        "crash-after-commits", "checkpoint-interval", "study-seed",
        "deadline-ms", "stall-timeout-ms", "max-record-bytes",
        "max-json-depth", "metrics-out", "metrics-deterministic", "validate",
-       "format", "shards", "corpus-manifest", "rule-engine", "port",
+       "format", "shards", "corpus-manifest", "port",
        "serve-workers", "serve-processes", "queue-depth",
        "request-deadline-ms",
        "read-timeout-ms", "write-timeout-ms"});
