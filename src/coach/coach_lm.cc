@@ -339,53 +339,34 @@ InstructionPair CoachLm::Revise(const InstructionPair& pair, Rng* rng,
 
 namespace {
 
-/// One pair's outcome in a revision pass: the revised pair plus the
-/// per-item stat flags, serializable to one JSONL line so checkpointed
+/// Per-item stat bits of a revision pass: one flag byte per pair.
+constexpr uint8_t kInvalid = 1;
+constexpr uint8_t kLeakage = 2;
+constexpr uint8_t kChanged = 4;
+constexpr uint8_t kQuarantined = 8;
+constexpr uint8_t kRecovered = 16;
+
+/// Journal line of one revised pair and its flag byte, so checkpointed
 /// work survives a crash.
-struct RevisedItemRecord {
-  InstructionPair pair;
-  bool invalid_replaced = false;
-  bool leakage_skipped = false;
-  bool changed = false;
-  bool quarantined = false;
-  bool recovered = false;
+std::string ToLine(const InstructionPair& pair, uint8_t flags) {
+  json::Object o;
+  o["pair"] = pair.ToJson();
+  o["flags"] = json::Value(static_cast<int64_t>(flags));
+  return json::Value(std::move(o)).Dump();
+}
 
-  enum Flag : int64_t {
-    kInvalid = 1,
-    kLeakage = 2,
-    kChanged = 4,
-    kQuarantined = 8,
-    kRecovered = 16,
-  };
-
-  std::string ToLine() const {
-    json::Object o;
-    o["pair"] = pair.ToJson();
-    int64_t flags = 0;
-    if (invalid_replaced) flags |= kInvalid;
-    if (leakage_skipped) flags |= kLeakage;
-    if (changed) flags |= kChanged;
-    if (quarantined) flags |= kQuarantined;
-    if (recovered) flags |= kRecovered;
-    o["flags"] = json::Value(flags);
-    return json::Value(std::move(o)).Dump();
-  }
-
-  static Result<RevisedItemRecord> FromLine(const std::string& line) {
-    COACHLM_ASSIGN_OR_RETURN(json::Value value, json::Parse(line));
-    RevisedItemRecord record;
-    COACHLM_ASSIGN_OR_RETURN(record.pair,
-                             InstructionPair::FromJson(value.At("pair")));
-    COACHLM_ASSIGN_OR_RETURN(double flags, value.GetNumber("flags"));
-    const auto bits = static_cast<int64_t>(flags);
-    record.invalid_replaced = (bits & kInvalid) != 0;
-    record.leakage_skipped = (bits & kLeakage) != 0;
-    record.changed = (bits & kChanged) != 0;
-    record.quarantined = (bits & kQuarantined) != 0;
-    record.recovered = (bits & kRecovered) != 0;
-    return record;
-  }
-};
+bool FromLine(const std::string& line, InstructionPair* pair,
+              uint8_t* flags) {
+  Result<json::Value> value = json::Parse(line);
+  if (!value.ok()) return false;
+  Result<InstructionPair> parsed =
+      InstructionPair::FromJson(value.ValueOrDie().At("pair"));
+  Result<double> bits = value.ValueOrDie().GetNumber("flags");
+  if (!parsed.ok() || !bits.ok()) return false;
+  *pair = std::move(parsed).ValueOrDie();
+  *flags = static_cast<uint8_t>(static_cast<int64_t>(bits.ValueOrDie()));
+  return true;
+}
 
 /// Emits the revision pass's folded totals plus the response-length
 /// distribution. Runs after the serial fold on the driver thread, so one
@@ -417,26 +398,22 @@ InstructionDataset CoachLm::ReviseDataset(
     PipelineRuntime* runtime, StageCheckpointer* checkpoint) const {
   const StageSpan span("revise");
   if (runtime == nullptr) runtime = PipelineRuntime::Default();
-  const bool checkpointed = checkpoint != nullptr && checkpoint->enabled();
+  const size_t n = dataset.size();
 
-  // Each item resolves to a record under the runtime envelope, so a
-  // permanently-failing pair degrades to its original text instead of
-  // aborting the pass. An inactive runtime's envelope is one branch plus
-  // the call: the ungoverned pass runs this same loop.
-  CancelToken* cancel = runtime->cancel_token();
-  // In the non-checkpointed branch this marks which items the token cut
-  // off, so they can be quarantined once, in index order, after the loop.
-  std::vector<uint8_t>* cancel_hit = nullptr;
+  // Each item resolves under the runtime envelope, so a permanently-failing
+  // pair degrades to its original text instead of aborting the pass. An
+  // inactive runtime's envelope is one branch plus the call.
+  std::vector<InstructionPair> revised(n);
+  std::vector<uint8_t> flags(n, 0);
+  const CancelToken* cancel = runtime->cancel_token();
   auto revise_one = [&](size_t i) {
-    RevisedItemRecord record;
     const InstructionPair& pair = dataset[i];
     if (!training_instructions.empty() &&
         training_instructions.count(lm::SerializePair(pair)) > 0) {
-      record.pair = pair;
-      record.leakage_skipped = true;
-      return record;
+      revised[i] = pair;
+      flags[i] = kLeakage;
+      return true;
     }
-    InstructionPair out;
     RevisionPassStats s;
     int attempts = 0;
     const Status status = runtime->Run(
@@ -447,123 +424,64 @@ InstructionDataset CoachLm::ReviseDataset(
           // would.
           RevisionPassStats attempt_stats;
           Rng rng = DeriveRng(config_.seed, pair.id);
-          out = Revise(pair, &rng, &attempt_stats);
+          revised[i] = Revise(pair, &rng, &attempt_stats);
           s = attempt_stats;
           return Status::OK();
         },
         &attempts);
     if (!status.ok()) {
-      record.pair = pair;
-      record.quarantined = true;
-      if (cancel_hit != nullptr && cancel != nullptr && cancel->cancelled()) {
-        (*cancel_hit)[i] = 1;
-      }
-      return record;
+      revised[i] = pair;
+      flags[i] = kQuarantined;
+      return cancel == nullptr || !cancel->cancelled();
     }
-    record.pair = std::move(out);
-    record.invalid_replaced = s.invalid_replaced > 0;
-    record.changed = s.changed > 0;
-    record.recovered = attempts > 1;
-    return record;
+    flags[i] = static_cast<uint8_t>((s.invalid_replaced > 0 ? kInvalid : 0) |
+                                    (s.changed > 0 ? kChanged : 0) |
+                                    (attempts > 1 ? kRecovered : 0));
+    return true;
   };
 
-  std::vector<RevisedItemRecord> records(dataset.size());
-  size_t resumed = 0;
-  if (checkpointed) {
-    Status commit_error = Status::OK();
-    GovernedLoopOptions options;
-    options.cancel = cancel;
-    options.watchdog = runtime->watchdog();
-    options.commit_error = &commit_error;
-    // Overlap chunk compute with journal IO; the checkpointer's admission
-    // gate bounds buffered chunks, so memory stays O(chunk), not O(corpus).
-    options.async_commits = true;
-    const GovernedLoopResult loop = RunGovernedCheckpointedLoop(
-        checkpoint, exec, &records, revise_one,
-        [](const RevisedItemRecord& record) { return record.ToLine(); },
-        [](const std::string& line, RevisedItemRecord* record) {
-          Result<RevisedItemRecord> decoded = RevisedItemRecord::FromLine(line);
-          if (!decoded.ok()) return false;
-          *record = std::move(decoded).ValueOrDie();
-          return true;
-        },
-        options);
-    resumed = loop.restored;
-    if (!commit_error.ok()) {
-      // A failing journal must not fail the pass; record the loss of
-      // crash-safety with the progress cursor as provenance.
-      runtime->QuarantineRecordFailure(FaultSite::kIo, dataset.size(),
-                                       commit_error);
-    }
-    if (loop.cancelled) {
-      // The run was cut off: the checkpoint covers exactly
-      // [0, loop.completed), so pass the unprocessed originals through and
-      // quarantine them with the cancellation cause — a later --resume
-      // picks them up and lands byte-identical to an uninterrupted run.
-      const Status cause = cancel->status();
-      for (size_t i = loop.completed; i < dataset.size(); ++i) {
-        records[i] = RevisedItemRecord();
-        records[i].pair = dataset[i];
-        records[i].quarantined = true;
-        runtime->QuarantineRecordFailure(FaultSite::kRevise, dataset[i].id,
-                                         cause, 0);
-      }
-    }
-  } else {
-    std::vector<uint8_t> hit(dataset.size(), 0);
-    cancel_hit = &hit;
-    exec.ParallelFor(dataset.size(), [&](size_t i) {
-      records[i] = revise_one(i);
-      if (StallWatchdog* wd = runtime->watchdog()) wd->Tick();
-    });
-    cancel_hit = nullptr;
-    if (cancel != nullptr && cancel->cancelled()) {
-      const Status cause = cancel->status();
-      for (size_t i = 0; i < hit.size(); ++i) {
-        if (hit[i] != 0) {
-          runtime->QuarantineRecordFailure(FaultSite::kRevise, dataset[i].id,
-                                           cause, 0);
-        }
-      }
+  ItemLoopOptions options;
+  options.cancel = cancel;
+  options.watchdog = runtime->watchdog();
+  const ItemLoopResult loop = RunItemLoop(
+      checkpoint, exec, n, revise_one,
+      [&](size_t i) { return ToLine(revised[i], flags[i]); },
+      [&](size_t i, const std::string& line) {
+        return FromLine(line, &revised[i], &flags[i]);
+      },
+      options);
+  if (!loop.commit_status.ok()) {
+    // A failing journal must not fail the pass; record the loss of
+    // crash-safety with the progress cursor as provenance.
+    runtime->QuarantineRecordFailure(FaultSite::kIo, n, loop.commit_status);
+  }
+  if (loop.completed < n) {
+    // The run was cut off: any checkpoint covers exactly
+    // [0, loop.completed), so pass the unprocessed originals through and
+    // quarantine them with the cancellation cause — a later --resume
+    // picks them up and lands byte-identical to an uninterrupted run.
+    const Status cause = cancel->status();
+    for (size_t i = loop.completed; i < n; ++i) {
+      revised[i] = dataset[i];
+      flags[i] = kQuarantined;
+      runtime->QuarantineRecordFailure(FaultSite::kRevise, dataset[i].id,
+                                       cause, 0);
     }
   }
 
-  std::vector<InstructionPair> revised;
-  revised.reserve(records.size());
   RevisionPassStats totals;
-  totals.resumed = resumed;
-  for (RevisedItemRecord& record : records) {
-    ++totals.total;
-    totals.invalid_replaced += record.invalid_replaced ? 1 : 0;
-    totals.leakage_skipped += record.leakage_skipped ? 1 : 0;
-    totals.changed += record.changed ? 1 : 0;
-    totals.quarantined += record.quarantined ? 1 : 0;
-    totals.recovered += record.recovered ? 1 : 0;
-    revised.push_back(std::move(record.pair));
+  totals.total = n;
+  totals.resumed = loop.restored;
+  for (const uint8_t f : flags) {
+    totals.invalid_replaced += (f & kInvalid) != 0 ? 1 : 0;
+    totals.leakage_skipped += (f & kLeakage) != 0 ? 1 : 0;
+    totals.changed += (f & kChanged) != 0 ? 1 : 0;
+    totals.quarantined += (f & kQuarantined) != 0 ? 1 : 0;
+    totals.recovered += (f & kRecovered) != 0 ? 1 : 0;
   }
   EmitReviseMetrics(totals, revised);
-  if (stats != nullptr) {
-    stats->total += totals.total;
-    stats->invalid_replaced += totals.invalid_replaced;
-    stats->leakage_skipped += totals.leakage_skipped;
-    stats->changed += totals.changed;
-    stats->quarantined += totals.quarantined;
-    stats->recovered += totals.recovered;
-    stats->resumed += totals.resumed;
-  }
+  if (stats != nullptr) *stats += totals;
   return InstructionDataset(std::move(revised));
-}
-
-InstructionDataset CoachLm::ReviseDataset(
-    const InstructionDataset& dataset,
-    const std::unordered_set<std::string>& training_instructions,
-    RevisionPassStats* stats, size_t num_threads) const {
-  if (num_threads == 0) {
-    return ReviseDataset(dataset, training_instructions, stats,
-                         ExecutionContext::Default());
-  }
-  const ExecutionContext exec(num_threads);
-  return ReviseDataset(dataset, training_instructions, stats, exec);
 }
 
 Result<RevisionPassStats> CoachLm::ReviseRecords(

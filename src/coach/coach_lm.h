@@ -38,6 +38,18 @@ struct RevisionPassStats {
   size_t recovered = 0;
   /// Pairs restored from a checkpoint instead of being recomputed.
   size_t resumed = 0;
+
+  /// Field-wise sum: folds a shard's or a pass's stats into a total.
+  RevisionPassStats& operator+=(const RevisionPassStats& other) {
+    total += other.total;
+    invalid_replaced += other.invalid_replaced;
+    leakage_skipped += other.leakage_skipped;
+    changed += other.changed;
+    quarantined += other.quarantined;
+    recovered += other.recovered;
+    resumed += other.resumed;
+    return *this;
+  }
 };
 
 /// \brief The trained coach language model θ_c.
@@ -78,12 +90,15 @@ class CoachLm {
   ///
   /// \p checkpoint (optional) makes the pass crash-safe: every
   /// checkpoint-interval pairs the revised prefix is journaled, and a
-  /// rerun that calls StageCheckpointer::Resume() first recomputes only
-  /// the remainder, to the same bytes.
+  /// rerun resumes the journal and recomputes only the remainder, to the
+  /// same bytes. When the runtime's cancel token cuts the pass, the
+  /// unreached suffix passes through unchanged and is quarantined with
+  /// the token's cause (see RunItemLoop).
   InstructionDataset ReviseDataset(
       const InstructionDataset& dataset,
       const std::unordered_set<std::string>& training_instructions,
-      RevisionPassStats* stats, const ExecutionContext& exec,
+      RevisionPassStats* stats = nullptr,
+      const ExecutionContext& exec = ExecutionContext::Default(),
       PipelineRuntime* runtime = nullptr,
       StageCheckpointer* checkpoint = nullptr) const;
 
@@ -98,14 +113,6 @@ class CoachLm {
       const std::unordered_set<std::string>& training_instructions,
       const ExecutionContext& exec, PipelineRuntime* runtime = nullptr,
       StageCheckpointer* checkpoint = nullptr) const;
-
-  /// Legacy thread-count entry point: \p num_threads = 0 uses
-  /// ExecutionContext::Default(); otherwise a dedicated context of that
-  /// width is constructed for the call.
-  InstructionDataset ReviseDataset(
-      const InstructionDataset& dataset,
-      const std::unordered_set<std::string>& training_instructions,
-      RevisionPassStats* stats = nullptr, size_t num_threads = 0) const;
 
   /// Saves the learned rules to \p path (the "checkpoint").
   Status SaveCheckpoint(const std::string& path) const;

@@ -2,6 +2,7 @@
 #define COACHLM_COMMON_CHECKPOINT_H_
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -141,137 +142,100 @@ class StageCheckpointer {
   std::thread committer_;
 };
 
-/// \brief Drives a chunked, crash-safe stage loop over \p records.
-///
-/// First restores the journaled prefix: each resumed line is decoded with
-/// `decode(line, &record) -> bool`; an undecodable or oversized journal is
-/// discarded (Finish) and the stage restarts from item 0, never resuming
-/// into a mismatched run. The remainder is computed in interval-sized
-/// chunks over \p exec with `compute(i) -> Record`, and each finished chunk
-/// is journaled via `encode(record) -> std::string` + Commit, so a kill at
-/// any point loses at most one chunk of work.
-///
-/// Returns the number of records restored from the journal rather than
-/// recomputed. A journal-write failure never fails the loop (the stage
-/// keeps its in-memory results, only crash-safety degrades); the last such
-/// error is reported through \p commit_error when non-null.
-/// Resource-governance knobs for RunGovernedCheckpointedLoop. All optional;
-/// the zero value reproduces the ungoverned loop.
-struct GovernedLoopOptions {
-  /// Wall-clock budget / external cancellation. Checked at chunk
-  /// boundaries and per item inside a chunk.
+/// Governance knobs for RunItemLoop. The zero value is the ungoverned loop.
+struct ItemLoopOptions {
+  /// Wall-clock budget / external cancellation. Gates every item: once the
+  /// token trips, no further item is admitted.
   const CancelToken* cancel = nullptr;
   /// Stall detector; Tick()ed once per completed item so a frozen stage is
   /// distinguishable from a slow one.
   StallWatchdog* watchdog = nullptr;
-  /// Overlap chunk compute with journal IO through the checkpointer's
-  /// bounded commit queue (backpressure caps memory at
-  /// O(max_pending_commits x chunk), not O(corpus)).
-  bool async_commits = false;
-  /// Receives the last journal-write error (journal failures degrade
-  /// crash-safety, never the stage results).
-  Status* commit_error = nullptr;
 };
 
-/// What the governed loop did. `records[0, completed)` hold valid results
-/// (restored + computed-and-committed); on cancellation the caller owns
-/// quarantining `[completed, n)` — the loop has already ensured the
-/// checkpoint covers exactly the completed prefix, so a later --resume
-/// recomputes the remainder and lands byte-identical to an uninterrupted
-/// run.
-struct GovernedLoopResult {
+/// What the item loop did. Items `[0, completed)` hold valid results
+/// (restored or computed); `completed < n` only when the cancel token cut
+/// the run, and the caller then passes through or drops `[completed, n)`
+/// and quarantines each of those items once, in index order.
+struct ItemLoopResult {
   size_t restored = 0;
   size_t completed = 0;
-  bool cancelled = false;
+  /// Last journal-write error. Journal failures degrade crash-safety,
+  /// never the stage results, so the loop reports rather than fails.
+  Status commit_status;
 };
 
-/// RunCheckpointedLoop with cancellation, stall detection, and commit
-/// backpressure. Cancellation is chunk-atomic: a chunk whose compute
-/// window overlapped the token tripping is discarded, not committed —
-/// some of its items were skipped mid-flight, and journaling a partial
-/// chunk would poison resume byte-identity.
-template <typename Record, typename Compute, typename Encode, typename Decode>
-GovernedLoopResult RunGovernedCheckpointedLoop(
-    StageCheckpointer* checkpoint, const ExecutionContext& exec,
-    std::vector<Record>* records, Compute&& compute, Encode&& encode,
-    Decode&& decode, const GovernedLoopOptions& options = {}) {
-  GovernedLoopResult result;
-  const size_t n = records->size();
+/// \brief The per-item loop of every corpus stage: runs `compute(i)` for
+/// each i in [0, n) over \p exec, under cancellation, stall detection and
+/// (with an enabled \p checkpoint) a crash-safe journal.
+///
+/// The loop keeps no per-item storage: the stage writes its outputs from
+/// `compute(i) -> bool`, which returns false only when the cancel token
+/// refused item i. With an enabled checkpointer the loop first restores
+/// the journaled prefix through `decode(i, line) -> bool` (an undecodable
+/// or oversized journal is discarded and the stage restarts from item 0),
+/// then runs the remainder in interval-sized chunks and journals each
+/// chunk's `encode(i) -> std::string` lines through the checkpointer's
+/// bounded async commit queue. A null or disabled checkpointer skips
+/// resume, encode and commit and runs [0, n) as one chunk.
+///
+/// Prefix rule: at the end of the in-flight chunk, `completed` is the
+/// first index whose compute did not return true. A checkpointed loop
+/// journals exactly [chunk start, completed) of that chunk and stops, so
+/// the journal always covers [0, completed) and a later resume recomputes
+/// only the remainder, landing byte-identical to an uninterrupted run.
+template <typename Compute, typename Encode, typename Decode>
+ItemLoopResult RunItemLoop(StageCheckpointer* checkpoint,
+                           const ExecutionContext& exec, size_t n,
+                           Compute&& compute, Encode&& encode,
+                           Decode&& decode,
+                           const ItemLoopOptions& options = {}) {
+  ItemLoopResult result;
+  const bool journaled = checkpoint != nullptr && checkpoint->enabled();
   size_t done = 0;
-  const std::vector<std::string> lines = checkpoint->Resume();
-  if (lines.size() <= n) {
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (!decode(lines[i], &(*records)[i])) break;
-      done = i + 1;
+  if (journaled) {
+    const std::vector<std::string> lines = checkpoint->Resume();
+    if (lines.size() <= n) {
+      while (done < lines.size() && decode(done, lines[done])) ++done;
     }
-  }
-  if (done != lines.size()) {
-    // A corrupt/mismatched journal means "start fresh"; if discarding it
-    // fails too, the next Commit rewrites the manifest anyway.
-    (void)checkpoint->Finish();
-    done = 0;
+    if (done != lines.size()) {
+      // A corrupt/mismatched journal means "start fresh"; if discarding it
+      // fails too, the next commit rewrites the manifest anyway.
+      (void)checkpoint->Finish();
+      done = 0;
+    }
   }
   result.restored = done;
+  const size_t interval = journaled ? checkpoint->interval() : n;
   while (done < n) {
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      result.cancelled = true;
-      break;
-    }
-    const size_t chunk_end = std::min(n, done + checkpoint->interval());
-    exec.ParallelFor(
-        chunk_end - done,
-        [&](size_t k) {
-          (*records)[done + k] = compute(done + k);
-          if (options.watchdog != nullptr) options.watchdog->Tick();
-        },
-        /*grain=*/0, options.cancel);
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      // The token tripped while this chunk was in flight: some items were
-      // skipped, so the chunk is partial. Discard it rather than journal
-      // a hole.
-      result.cancelled = true;
-      break;
-    }
-    std::vector<std::string> chunk;
-    chunk.reserve(chunk_end - done);
-    for (size_t i = done; i < chunk_end; ++i) {
-      chunk.push_back(encode((*records)[i]));
-    }
-    if (options.async_commits) {
-      checkpoint->CommitAsync(chunk_end, std::move(chunk));
-    } else {
-      Status committed = checkpoint->Commit(chunk_end, chunk);
-      if (!committed.ok() && options.commit_error != nullptr) {
-        *options.commit_error = std::move(committed);
+    const size_t chunk_end = done + std::min(n - done, interval);
+    // Lowest index in the chunk that was refused; items above it are cut
+    // off by the prefix rule, so their work is skipped.
+    std::atomic<size_t> refused{chunk_end};
+    exec.ParallelFor(chunk_end - done, [&](size_t k) {
+      const size_t i = done + k;
+      if (i > refused.load()) return;
+      if ((options.cancel == nullptr || !options.cancel->cancelled()) &&
+          compute(i)) {
+        if (options.watchdog != nullptr) options.watchdog->Tick();
+        return;
       }
+      size_t seen = refused.load();
+      while (i < seen && !refused.compare_exchange_weak(seen, i)) {
+      }
+    });
+    const size_t completed = refused.load();
+    if (journaled && completed > done) {
+      std::vector<std::string> chunk;
+      chunk.reserve(completed - done);
+      for (size_t i = done; i < completed; ++i) chunk.push_back(encode(i));
+      checkpoint->CommitAsync(completed, std::move(chunk));
     }
-    done = chunk_end;
+    done = completed;
+    if (completed < chunk_end) break;
   }
-  if (options.async_commits) {
-    Status drained = checkpoint->Drain();
-    if (!drained.ok() && options.commit_error != nullptr) {
-      *options.commit_error = std::move(drained);
-    }
-  }
+  if (journaled) result.commit_status = checkpoint->Drain();
   result.completed = done;
   return result;
-}
-
-/// Ungoverned wrapper (the PR-2 era signature): no cancellation, no
-/// watchdog, synchronous commits. Returns the restored-prefix length.
-template <typename Record, typename Compute, typename Encode, typename Decode>
-size_t RunCheckpointedLoop(StageCheckpointer* checkpoint,
-                           const ExecutionContext& exec,
-                           std::vector<Record>* records, Compute&& compute,
-                           Encode&& encode, Decode&& decode,
-                           Status* commit_error = nullptr) {
-  GovernedLoopOptions options;
-  options.commit_error = commit_error;
-  return RunGovernedCheckpointedLoop(
-             checkpoint, exec, records, std::forward<Compute>(compute),
-             std::forward<Encode>(encode), std::forward<Decode>(decode),
-             options)
-      .restored;
 }
 
 }  // namespace coachlm

@@ -60,12 +60,6 @@ class PipelineRuntime {
   void set_watchdog(StallWatchdog* watchdog) { watchdog_ = watchdog; }
   StallWatchdog* watchdog() const { return watchdog_; }
 
-  /// True when Run() does real work: fault injection is active *or* a
-  /// cancel token is attached. Stages use this (not active()) to pick
-  /// between the instrumented path and the zero-overhead fast path, so a
-  /// deadline governs a run even without a fault plan.
-  bool governed() const { return active_ || cancel_ != nullptr; }
-
   /// Runs \p op for record \p item_id at \p site under injection + retry.
   /// Permanent failures (retries exhausted, or a non-transient error) are
   /// recorded in the quarantine log with provenance and returned; the

@@ -183,164 +183,134 @@ void SynthCorpusGenerator::GeneratePair(
   }
 }
 
-SynthCorpus SynthCorpusGenerator::Generate(
-    const ExecutionContext& exec) const {
-  std::vector<InstructionPair> pairs(config_.size);
-  SynthCorpus corpus;
-  corpus.defects.resize(config_.size);
-  // Each pair draws from its own id-derived stream, so the corpus is a
-  // pure function of the config no matter how the loop is scheduled.
-  exec.ParallelFor(config_.size, [&](size_t i) {
-    const uint64_t id = static_cast<uint64_t>(i + 1);
-    Rng rng = DeriveRng(config_.seed, id);
-    GeneratePair(id, &rng, &pairs[i], &corpus.defects[i]);
-  });
-  corpus.dataset = InstructionDataset(std::move(pairs));
-  return corpus;
-}
-
 namespace {
 
-/// One id's outcome in a fault-tolerant / checkpointed generation pass,
-/// serializable to a JSONL checkpoint line. Dropped records keep their
-/// slot in the journal (so resume cursors stay item-aligned) but are
-/// excluded from the assembled corpus.
-struct GeneratedItemRecord {
-  InstructionPair pair;
-  std::vector<DefectType> defects;
-  bool dropped = false;
-
-  std::string ToLine() const {
-    json::Object o;
-    o["pair"] = pair.ToJson();
-    json::Array defect_codes;
-    defect_codes.reserve(defects.size());
-    for (DefectType defect : defects) {
-      defect_codes.emplace_back(static_cast<int64_t>(defect));
-    }
-    o["defects"] = json::Value(std::move(defect_codes));
-    o["dropped"] = json::Value(dropped);
-    return json::Value(std::move(o)).Dump();
+/// Journal line of one generated id: its pair and defect provenance, plus
+/// whether it was dropped. Dropped ids keep their slot in the journal (so
+/// resume cursors stay item-aligned) but are excluded from the corpus.
+std::string ToLine(const InstructionPair& pair,
+                   const std::vector<DefectType>& defects, bool dropped) {
+  json::Object o;
+  o["pair"] = pair.ToJson();
+  json::Array defect_codes;
+  defect_codes.reserve(defects.size());
+  for (DefectType defect : defects) {
+    defect_codes.emplace_back(static_cast<int64_t>(defect));
   }
+  o["defects"] = json::Value(std::move(defect_codes));
+  o["dropped"] = json::Value(dropped);
+  return json::Value(std::move(o)).Dump();
+}
 
-  static bool FromLine(const std::string& line, GeneratedItemRecord* record) {
-    Result<json::Value> parsed = json::Parse(line);
-    if (!parsed.ok()) return false;
-    const json::Value& value = parsed.ValueOrDie();
-    Result<InstructionPair> pair = InstructionPair::FromJson(value.At("pair"));
-    if (!pair.ok()) return false;
-    const json::Value& defect_codes = value.At("defects");
-    if (!defect_codes.is_array()) return false;
-    Result<bool> dropped = value.GetBool("dropped");
-    if (!dropped.ok()) return false;
-    record->pair = std::move(pair).ValueOrDie();
-    record->defects.clear();
-    for (const json::Value& code : defect_codes.AsArray()) {
-      record->defects.push_back(static_cast<DefectType>(code.AsInt()));
-    }
-    record->dropped = dropped.ValueOrDie();
-    return true;
+bool FromLine(const std::string& line, InstructionPair* pair,
+              std::vector<DefectType>* defects, uint8_t* dropped) {
+  Result<json::Value> parsed = json::Parse(line);
+  if (!parsed.ok()) return false;
+  const json::Value& value = parsed.ValueOrDie();
+  Result<InstructionPair> decoded = InstructionPair::FromJson(value.At("pair"));
+  if (!decoded.ok()) return false;
+  const json::Value& defect_codes = value.At("defects");
+  if (!defect_codes.is_array()) return false;
+  Result<bool> is_dropped = value.GetBool("dropped");
+  if (!is_dropped.ok()) return false;
+  *pair = std::move(decoded).ValueOrDie();
+  defects->clear();
+  for (const json::Value& code : defect_codes.AsArray()) {
+    defects->push_back(static_cast<DefectType>(code.AsInt()));
   }
-};
+  *dropped = is_dropped.ValueOrDie() ? 1 : 0;
+  return true;
+}
 
 }  // namespace
+
+SynthCorpus SynthCorpusGenerator::Generate(
+    const ExecutionContext& exec) const {
+  PipelineRuntime inactive;
+  return GenerateItems(exec, &inactive, nullptr);
+}
 
 SynthCorpus SynthCorpusGenerator::Generate(const ExecutionContext& exec,
                                            PipelineRuntime* runtime,
                                            StageCheckpointer* checkpoint) const {
   const StageSpan span("generate");
   if (runtime == nullptr) runtime = PipelineRuntime::Default();
-  const bool checkpointed = checkpoint != nullptr && checkpoint->enabled();
-  if (!runtime->governed() && !checkpointed) {
-    SynthCorpus corpus = Generate(exec);
-    CountMetric("generate.items_out", corpus.dataset.size());
-    return corpus;
-  }
+  SynthCorpus corpus = GenerateItems(exec, runtime, checkpoint);
+  CountMetric("generate.items_out", corpus.dataset.size());
+  CountMetric("generate.items_dropped", config_.size - corpus.dataset.size());
+  return corpus;
+}
 
-  CancelToken* cancel = runtime->cancel_token();
-  std::vector<uint8_t>* cancel_hit = nullptr;
+SynthCorpus SynthCorpusGenerator::GenerateItems(
+    const ExecutionContext& exec, PipelineRuntime* runtime,
+    StageCheckpointer* checkpoint) const {
+  const size_t n = config_.size;
+  std::vector<InstructionPair> pairs(n);
+  std::vector<std::vector<DefectType>> defects(n);
+  std::vector<uint8_t> dropped(n, 0);
+  const CancelToken* cancel = runtime->cancel_token();
+  // Each pair draws from its own id-derived stream, so the corpus does not
+  // depend on how the loop is scheduled.
   auto generate_one = [&](size_t i) {
-    GeneratedItemRecord record;
     const uint64_t id = static_cast<uint64_t>(i + 1);
     const Status status = runtime->Run(FaultSite::kCollect, id, [&] {
       // Each attempt restarts the id's private stream, so the attempt
       // that succeeds emits the fault-free bytes.
       Rng rng = DeriveRng(config_.seed, id);
-      record.pair = InstructionPair();
-      record.defects.clear();
-      GeneratePair(id, &rng, &record.pair, &record.defects);
+      pairs[i] = InstructionPair();
+      defects[i].clear();
+      GeneratePair(id, &rng, &pairs[i], &defects[i]);
       return Status::OK();
     });
-    if (!status.ok()) {
-      // Collection degrades by dropping the record: the remaining corpus
-      // is still a pure function of (config, fault plan).
-      record = GeneratedItemRecord();
-      record.dropped = true;
-      if (cancel_hit != nullptr && cancel != nullptr && cancel->cancelled()) {
-        (*cancel_hit)[i] = 1;
-      }
-    }
-    return record;
+    // Assigned on both paths: a discarded journal may have decoded into
+    // this slot before the loop restarted from item 0.
+    dropped[i] = status.ok() ? 0 : 1;
+    if (status.ok()) return true;
+    // Collection degrades by dropping the record: the remaining corpus
+    // is still a pure function of (config, fault plan).
+    pairs[i] = InstructionPair();
+    defects[i].clear();
+    return cancel == nullptr || !cancel->cancelled();
   };
 
-  std::vector<GeneratedItemRecord> records(config_.size);
-  if (checkpointed) {
-    Status commit_error = Status::OK();
-    GovernedLoopOptions options;
-    options.cancel = cancel;
-    options.watchdog = runtime->watchdog();
-    options.commit_error = &commit_error;
-    options.async_commits = true;
-    const GovernedLoopResult loop = RunGovernedCheckpointedLoop(
-        checkpoint, exec, &records, generate_one,
-        [](const GeneratedItemRecord& record) { return record.ToLine(); },
-        &GeneratedItemRecord::FromLine, options);
-    if (!commit_error.ok()) {
-      runtime->QuarantineRecordFailure(FaultSite::kIo, config_.size,
-                                       commit_error);
-    }
-    if (loop.cancelled) {
-      const Status cause = cancel->status();
-      for (size_t i = loop.completed; i < records.size(); ++i) {
-        records[i] = GeneratedItemRecord();
-        records[i].dropped = true;
-        runtime->QuarantineRecordFailure(FaultSite::kCollect,
-                                         static_cast<uint64_t>(i + 1), cause,
-                                         0);
-      }
-    }
-  } else {
-    std::vector<uint8_t> hit(config_.size, 0);
-    cancel_hit = &hit;
-    exec.ParallelFor(config_.size, [&](size_t i) {
-      records[i] = generate_one(i);
-      if (StallWatchdog* wd = runtime->watchdog()) wd->Tick();
-    });
-    cancel_hit = nullptr;
-    if (cancel != nullptr && cancel->cancelled()) {
-      const Status cause = cancel->status();
-      for (size_t i = 0; i < hit.size(); ++i) {
-        if (hit[i] != 0) {
-          runtime->QuarantineRecordFailure(FaultSite::kCollect,
-                                           static_cast<uint64_t>(i + 1), cause,
-                                           0);
-        }
-      }
+  ItemLoopOptions options;
+  options.cancel = cancel;
+  options.watchdog = runtime->watchdog();
+  const ItemLoopResult loop = RunItemLoop(
+      checkpoint, exec, n, generate_one,
+      [&](size_t i) { return ToLine(pairs[i], defects[i], dropped[i] != 0); },
+      [&](size_t i, const std::string& line) {
+        return FromLine(line, &pairs[i], &defects[i], &dropped[i]);
+      },
+      options);
+  if (!loop.commit_status.ok()) {
+    runtime->QuarantineRecordFailure(FaultSite::kIo, n, loop.commit_status);
+  }
+  if (loop.completed < n) {
+    // Cut off by the cancel token: the unreached ids are dropped and
+    // quarantined once, in id order; a later --resume regenerates them.
+    const Status cause = cancel->status();
+    for (size_t i = loop.completed; i < n; ++i) {
+      dropped[i] = 1;
+      runtime->QuarantineRecordFailure(
+          FaultSite::kCollect, static_cast<uint64_t>(i + 1), cause, 0);
     }
   }
 
-  SynthCorpus corpus;
-  std::vector<InstructionPair> pairs;
-  pairs.reserve(records.size());
-  corpus.defects.reserve(records.size());
-  for (GeneratedItemRecord& record : records) {
-    if (record.dropped) continue;
-    pairs.push_back(std::move(record.pair));
-    corpus.defects.push_back(std::move(record.defects));
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (dropped[i] != 0) continue;
+    if (kept != i) {
+      pairs[kept] = std::move(pairs[i]);
+      defects[kept] = std::move(defects[i]);
+    }
+    ++kept;
   }
-  CountMetric("generate.items_out", pairs.size());
-  CountMetric("generate.items_dropped", records.size() - pairs.size());
+  pairs.resize(kept);
+  defects.resize(kept);
+  SynthCorpus corpus;
   corpus.dataset = InstructionDataset(std::move(pairs));
+  corpus.defects = std::move(defects);
   return corpus;
 }
 

@@ -61,7 +61,9 @@ class SynthCorpusGenerator {
  public:
   explicit SynthCorpusGenerator(CorpusConfig config);
 
-  /// Generates the corpus described by the config.
+  /// Generates the corpus described by the config under an inactive
+  /// runtime (never PipelineRuntime::Default(), so no process-wide fault
+  /// plan reaches it).
   SynthCorpus Generate(
       const ExecutionContext& exec = ExecutionContext::Default()) const;
 
@@ -72,7 +74,9 @@ class SynthCorpusGenerator {
   /// and permanently-failed ids are *dropped* from the corpus and recorded
   /// in the runtime's quarantine log — collection never aborts. With an
   /// enabled \p checkpoint the pass journals finished chunks and resumes a
-  /// killed run to byte-identical output.
+  /// killed run to byte-identical output. When the runtime's cancel token
+  /// cuts the pass, the unreached ids are dropped and quarantined with the
+  /// token's cause (see RunItemLoop).
   SynthCorpus Generate(const ExecutionContext& exec, PipelineRuntime* runtime,
                        StageCheckpointer* checkpoint = nullptr) const;
 
@@ -97,6 +101,12 @@ class SynthCorpusGenerator {
   const ContentEngine& engine() const { return engine_; }
 
  private:
+  /// The per-id item loop behind both Generate forms (no span, no
+  /// metrics).
+  SynthCorpus GenerateItems(const ExecutionContext& exec,
+                            PipelineRuntime* runtime,
+                            StageCheckpointer* checkpoint) const;
+
   Category PickCategory(Rng* rng) const;
   const Topic& PickTopic(Category category, Rng* rng) const;
 

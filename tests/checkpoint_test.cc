@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/execution.h"
 #include "json/jsonl.h"
 
@@ -173,23 +174,26 @@ int ParseRecordLine(const std::string& line) {
   return std::stoi(line);
 }
 
-TEST(RunCheckpointedLoopTest, FreshRunComputesEverythingAndJournals) {
+TEST(RunItemLoopTest, FreshRunComputesEverythingAndJournals) {
   ScratchDir dir("coachlm_loop_fresh_test");
   StageCheckpointer checkpoint(dir.path(), "loop", "fp1", /*interval=*/3);
   ExecutionContext exec(4);
   std::vector<int> records(10, -1);
   std::atomic<size_t> computed{0};
-  const size_t restored = RunCheckpointedLoop(
-      &checkpoint, exec, &records,
-      [&](size_t i) {
-        computed.fetch_add(1);
-        return static_cast<int>(i * i);
-      },
-      [](int r) { return std::to_string(r); },
-      [](const std::string& line, int* r) {
-        *r = ParseRecordLine(line);
-        return true;
-      });
+  const size_t restored =
+      RunItemLoop(
+          &checkpoint, exec, records.size(),
+          [&](size_t i) {
+            computed.fetch_add(1);
+            records[i] = static_cast<int>(i * i);
+            return true;
+          },
+          [&](size_t i) { return std::to_string(records[i]); },
+          [&](size_t i, const std::string& line) {
+            records[i] = ParseRecordLine(line);
+            return true;
+          })
+          .restored;
   EXPECT_EQ(restored, 0u);
   EXPECT_EQ(computed.load(), 10u);
   for (size_t i = 0; i < records.size(); ++i) {
@@ -200,7 +204,7 @@ TEST(RunCheckpointedLoopTest, FreshRunComputesEverythingAndJournals) {
   EXPECT_EQ(reader.Resume().size(), 10u);
 }
 
-TEST(RunCheckpointedLoopTest, ResumeSkipsRestoredPrefix) {
+TEST(RunItemLoopTest, ResumeSkipsRestoredPrefix) {
   ScratchDir dir("coachlm_loop_resume_test");
   {
     // Journal the first 6 items, as a killed run would have.
@@ -212,17 +216,20 @@ TEST(RunCheckpointedLoopTest, ResumeSkipsRestoredPrefix) {
   ExecutionContext exec(2);
   std::vector<int> records(10, -1);
   std::atomic<size_t> computed{0};
-  const size_t restored = RunCheckpointedLoop(
-      &checkpoint, exec, &records,
-      [&](size_t i) {
-        computed.fetch_add(1);
-        return static_cast<int>(i * i);
-      },
-      [](int r) { return std::to_string(r); },
-      [](const std::string& line, int* r) {
-        *r = ParseRecordLine(line);
-        return true;
-      });
+  const size_t restored =
+      RunItemLoop(
+          &checkpoint, exec, records.size(),
+          [&](size_t i) {
+            computed.fetch_add(1);
+            records[i] = static_cast<int>(i * i);
+            return true;
+          },
+          [&](size_t i) { return std::to_string(records[i]); },
+          [&](size_t i, const std::string& line) {
+            records[i] = ParseRecordLine(line);
+            return true;
+          })
+          .restored;
   EXPECT_EQ(restored, 6u);
   EXPECT_EQ(computed.load(), 4u);  // only items 6..9 recomputed
   for (size_t i = 0; i < records.size(); ++i) {
@@ -230,7 +237,7 @@ TEST(RunCheckpointedLoopTest, ResumeSkipsRestoredPrefix) {
   }
 }
 
-TEST(RunCheckpointedLoopTest, UndecodableJournalRestartsFromScratch) {
+TEST(RunItemLoopTest, UndecodableJournalRestartsFromScratch) {
   ScratchDir dir("coachlm_loop_baddecode_test");
   {
     StageCheckpointer partial(dir.path(), "loop", "fp1", 4);
@@ -240,20 +247,23 @@ TEST(RunCheckpointedLoopTest, UndecodableJournalRestartsFromScratch) {
   ExecutionContext exec(1);
   std::vector<int> records(5, -1);
   std::atomic<size_t> computed{0};
-  const size_t restored = RunCheckpointedLoop(
-      &checkpoint, exec, &records,
-      [&](size_t i) {
-        computed.fetch_add(1);
-        return static_cast<int>(i);
-      },
-      [](int r) { return std::to_string(r); },
-      [](const std::string& line, int* r) {
-        if (line.empty() || !isdigit(static_cast<unsigned char>(line[0]))) {
-          return false;
-        }
-        *r = ParseRecordLine(line);
-        return true;
-      });
+  const size_t restored =
+      RunItemLoop(
+          &checkpoint, exec, records.size(),
+          [&](size_t i) {
+            computed.fetch_add(1);
+            records[i] = static_cast<int>(i);
+            return true;
+          },
+          [&](size_t i) { return std::to_string(records[i]); },
+          [&](size_t i, const std::string& line) {
+            if (line.empty() || !isdigit(static_cast<unsigned char>(line[0]))) {
+              return false;
+            }
+            records[i] = ParseRecordLine(line);
+            return true;
+          })
+          .restored;
   EXPECT_EQ(restored, 0u);
   EXPECT_EQ(computed.load(), 5u);
   for (size_t i = 0; i < records.size(); ++i) {
@@ -261,7 +271,7 @@ TEST(RunCheckpointedLoopTest, UndecodableJournalRestartsFromScratch) {
   }
 }
 
-TEST(RunCheckpointedLoopTest, OversizedJournalRestartsFromScratch) {
+TEST(RunItemLoopTest, OversizedJournalRestartsFromScratch) {
   ScratchDir dir("coachlm_loop_oversize_test");
   {
     StageCheckpointer partial(dir.path(), "loop", "fp1", 8);
@@ -271,19 +281,110 @@ TEST(RunCheckpointedLoopTest, OversizedJournalRestartsFromScratch) {
   ExecutionContext exec(1);
   std::vector<int> records(4, -1);  // run over FEWER items than journaled
   std::atomic<size_t> computed{0};
-  const size_t restored = RunCheckpointedLoop(
-      &checkpoint, exec, &records,
-      [&](size_t i) {
-        computed.fetch_add(1);
-        return static_cast<int>(i);
-      },
-      [](int r) { return std::to_string(r); },
-      [](const std::string& line, int* r) {
-        *r = ParseRecordLine(line);
-        return true;
-      });
+  const size_t restored =
+      RunItemLoop(
+          &checkpoint, exec, records.size(),
+          [&](size_t i) {
+            computed.fetch_add(1);
+            records[i] = static_cast<int>(i);
+            return true;
+          },
+          [&](size_t i) { return std::to_string(records[i]); },
+          [&](size_t i, const std::string& line) {
+            records[i] = ParseRecordLine(line);
+            return true;
+          })
+          .restored;
   EXPECT_EQ(restored, 0u);
   EXPECT_EQ(computed.load(), 4u);
+}
+
+TEST(RunItemLoopTest, NullCheckpointerComputesEverythingAndWritesNoFile) {
+  ScratchDir dir("coachlm_loop_null_test");
+  ExecutionContext exec(2);
+  std::vector<int> computed(10, 0);
+  std::atomic<size_t> codec_calls{0};
+  const ItemLoopResult result = RunItemLoop(
+      /*checkpoint=*/nullptr, exec, computed.size(),
+      [&](size_t i) {
+        computed[i] = 1;
+        return true;
+      },
+      [&](size_t) {
+        codec_calls.fetch_add(1);
+        return std::string();
+      },
+      [&](size_t, const std::string&) {
+        codec_calls.fetch_add(1);
+        return true;
+      });
+  EXPECT_EQ(result.restored, 0u);
+  EXPECT_EQ(result.completed, computed.size());
+  EXPECT_TRUE(result.commit_status.ok());
+  EXPECT_EQ(codec_calls.load(), 0u);
+  for (size_t i = 0; i < computed.size(); ++i) EXPECT_EQ(computed[i], 1) << i;
+  EXPECT_TRUE(fs::is_empty(dir.path()));
+}
+
+TEST(RunItemLoopTest, SerialCancelJournalsThePartialChunk) {
+  ScratchDir dir("coachlm_loop_serial_cancel_test");
+  constexpr size_t kCancelAt = 19;  // inside the third chunk, [16, 24)
+  StageCheckpointer checkpoint(dir.path(), "loop", "fp1", /*interval=*/8);
+  ExecutionContext exec(1);
+  CancelToken token;
+  ItemLoopOptions options;
+  options.cancel = &token;
+  std::vector<int> records(40, -1);
+  const ItemLoopResult result = RunItemLoop(
+      &checkpoint, exec, records.size(),
+      [&](size_t i) {
+        records[i] = static_cast<int>(i);
+        if (i == kCancelAt) token.Cancel(Status::Cancelled("stop"));
+        return true;
+      },
+      [&](size_t i) { return std::to_string(records[i]); },
+      [&](size_t i, const std::string& line) {
+        records[i] = ParseRecordLine(line);
+        return true;
+      },
+      options);
+  EXPECT_EQ(result.completed, kCancelAt + 1);
+  StageCheckpointer reader(dir.path(), "loop", "fp1", 8);
+  EXPECT_EQ(reader.Resume().size(), kCancelAt + 1);
+  for (size_t i = kCancelAt + 1; i < records.size(); ++i) {
+    EXPECT_EQ(records[i], -1) << "index " << i << " ran after the cancel";
+  }
+}
+
+TEST(RunItemLoopTest, ParallelCancelJournalsExactlyTheCompletedPrefix) {
+  ScratchDir dir("coachlm_loop_parallel_cancel_test");
+  StageCheckpointer checkpoint(dir.path(), "loop", "fp1", /*interval=*/8);
+  ExecutionContext exec(4);
+  CancelToken token;
+  ItemLoopOptions options;
+  options.cancel = &token;
+  std::vector<int> records(200, -1);
+  const ItemLoopResult result = RunItemLoop(
+      &checkpoint, exec, records.size(),
+      [&](size_t i) {
+        records[i] = static_cast<int>(i);
+        if (i == 57) token.Cancel(Status::Cancelled("stop"));
+        return true;
+      },
+      [&](size_t i) { return std::to_string(records[i]); },
+      [&](size_t i, const std::string& line) {
+        records[i] = ParseRecordLine(line);
+        return true;
+      },
+      options);
+  ASSERT_LT(result.completed, records.size());
+  std::vector<std::string> expected;
+  for (size_t i = 0; i < result.completed; ++i) {
+    EXPECT_EQ(records[i], static_cast<int>(i)) << "index " << i;
+    expected.push_back(std::to_string(i));
+  }
+  StageCheckpointer reader(dir.path(), "loop", "fp1", 8);
+  EXPECT_EQ(reader.Resume(), expected);
 }
 
 }  // namespace

@@ -121,8 +121,11 @@ TEST_F(CoachLmTest, UntrainedBackboneIsNearIdentity) {
 TEST_F(CoachLmTest, DatasetRevisionIsDeterministicAcrossThreadCounts) {
   InstructionDataset slice;
   for (size_t i = 0; i < 60; ++i) slice.Add(corpus_->dataset[i]);
-  const InstructionDataset a = model_->ReviseDataset(slice, {}, nullptr, 1);
-  const InstructionDataset b = model_->ReviseDataset(slice, {}, nullptr, 4);
+  const ExecutionContext serial(1);
+  const ExecutionContext wide(4);
+  const InstructionDataset a =
+      model_->ReviseDataset(slice, {}, nullptr, serial);
+  const InstructionDataset b = model_->ReviseDataset(slice, {}, nullptr, wide);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
@@ -133,8 +136,9 @@ TEST_F(CoachLmTest, LeakageGuardSkipsTrainingPairs) {
   std::unordered_set<std::string> guard;
   guard.insert(lm::SerializePair(corpus_->dataset[4]));
   RevisionPassStats stats;
+  const ExecutionContext serial(1);
   const InstructionDataset out =
-      model_->ReviseDataset(slice, guard, &stats, 1);
+      model_->ReviseDataset(slice, guard, &stats, serial);
   EXPECT_EQ(stats.leakage_skipped, 1u);
   EXPECT_EQ(out[4], corpus_->dataset[4]);
 }

@@ -151,7 +151,6 @@ TEST(RuntimeCancelTest, InactiveGovernedRuntimeStopsAdmittingWork) {
   CancelToken token;
   runtime.set_cancel_token(&token);
   EXPECT_FALSE(runtime.active());
-  EXPECT_TRUE(runtime.governed());
 
   int calls = 0;
   EXPECT_TRUE(runtime
@@ -371,6 +370,92 @@ TEST_F(DeadlineGovernanceTest, UncheckpointedBudgetedRunDegradesInPlace) {
   // item's original can coincide with its baseline bytes.
   EXPECT_LE(cut_off, stats.quarantined);
   EXPECT_GT(cut_off, 0u);
+}
+
+TEST_F(DeadlineGovernanceTest, BudgetedGenerateDropsRemainderAndResumes) {
+  const std::string dir =
+      (fs::temp_directory_path() / "coachlm_gov_generate_resume").string();
+  fs::remove_all(dir);
+  const std::string fingerprint = ConfigFingerprint("gov-generate");
+  synth::CorpusConfig config;
+  config.size = 1500;
+  config.seed = 42;
+  const synth::SynthCorpusGenerator generator(config);
+  const size_t n = config.size;
+  ExecutionContext exec(1);
+
+  // Budgeted run, serial so the virtual-time burn is deterministic: the
+  // deadline cuts generation mid-corpus, after some chunks have committed.
+  size_t completed = 0;
+  {
+    FakeClock clock;
+    PipelineRuntime runtime = MakeLatentRuntime(&clock);
+    CancelToken token(&clock, 60000);
+    runtime.set_cancel_token(&token);
+    StageCheckpointer checkpoint(dir, "generate", fingerprint, 128);
+    const synth::SynthCorpus cut =
+        generator.Generate(exec, &runtime, &checkpoint);
+
+    ASSERT_TRUE(token.cancelled());
+    const auto records = runtime.quarantine().records();
+    completed = n - records.size();
+    ASSERT_GT(completed, 0u);
+    ASSERT_LT(completed, n);
+    // Exactly [completed, n) is dropped and quarantined, in id order, with
+    // the deadline as cause; the kept prefix is the fault-free corpus's.
+    ASSERT_EQ(cut.dataset.size(), completed);
+    for (size_t k = 0; k < records.size(); ++k) {
+      EXPECT_EQ(records[k].item_id, completed + k + 1);
+      EXPECT_EQ(records[k].site, FaultSite::kCollect);
+      EXPECT_EQ(records[k].code, StatusCode::kDeadlineExceeded);
+    }
+    for (size_t i = 0; i < completed; ++i) {
+      EXPECT_EQ(cut.dataset[i], corpus_->dataset[i]) << i;
+      EXPECT_EQ(cut.defects[i], corpus_->defects[i]) << i;
+    }
+  }
+
+  // The journal covers exactly the completed prefix.
+  {
+    StageCheckpointer reader(dir, "generate", fingerprint, 128);
+    EXPECT_EQ(reader.Resume().size(), completed);
+  }
+
+  // Resume without a budget: byte-identical to Generate(exec).
+  {
+    StageCheckpointer checkpoint(dir, "generate", fingerprint, 128);
+    const synth::SynthCorpus resumed =
+        generator.Generate(exec, /*runtime=*/nullptr, &checkpoint);
+    EXPECT_EQ(DatasetBytes(resumed.dataset), DatasetBytes(corpus_->dataset));
+    EXPECT_EQ(resumed.defects, corpus_->defects);
+  }
+  fs::remove_all(dir);
+}
+
+TEST_F(DeadlineGovernanceTest, UncheckpointedBudgetedGenerateKeepsAPrefix) {
+  synth::CorpusConfig config;
+  config.size = 1500;
+  config.seed = 42;
+  FakeClock clock;
+  PipelineRuntime runtime = MakeLatentRuntime(&clock);
+  CancelToken token(&clock, 60000);
+  runtime.set_cancel_token(&token);
+  ExecutionContext exec(1);
+  const synth::SynthCorpus cut =
+      synth::SynthCorpusGenerator(config).Generate(exec, &runtime);
+
+  ASSERT_TRUE(token.cancelled());
+  const size_t kept = cut.dataset.size();
+  ASSERT_GT(kept, 0u);
+  ASSERT_LT(kept, config.size);
+  EXPECT_EQ(runtime.quarantine().records().size(), config.size - kept);
+  for (const auto& record : runtime.quarantine().records()) {
+    EXPECT_EQ(record.code, StatusCode::kDeadlineExceeded);
+  }
+  for (size_t i = 0; i < kept; ++i) {
+    EXPECT_EQ(cut.dataset[i], corpus_->dataset[i]) << i;
+    EXPECT_EQ(cut.defects[i], corpus_->defects[i]) << i;
+  }
 }
 
 /// A FakeClock whose virtual sleeps are observed by a stall watchdog the

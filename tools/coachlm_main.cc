@@ -273,8 +273,8 @@ struct Governance {
 };
 
 /// Builds governance from --deadline-ms / --stall-timeout-ms and attaches
-/// it to \p runtime. With neither flag the runtime keeps its zero-overhead
-/// ungoverned path.
+/// it to \p runtime. With neither flag no token is attached, so the
+/// stages' item loops admit every item.
 Governance MakeGovernance(const Flags& flags, PipelineRuntime* runtime) {
   Governance governance;
   const int64_t deadline_ms = flags.GetInt("deadline-ms", 0);
@@ -483,13 +483,7 @@ Status RunRevise(const Flags& flags) {
           const coach::RevisionPassStats shard_stats,
           model.ReviseRecords(reader.get(), &writer, {}, FlagExec(flags),
                               runtime, checkpoint.get()));
-      stats.total += shard_stats.total;
-      stats.invalid_replaced += shard_stats.invalid_replaced;
-      stats.leakage_skipped += shard_stats.leakage_skipped;
-      stats.changed += shard_stats.changed;
-      stats.quarantined += shard_stats.quarantined;
-      stats.recovered += shard_stats.recovered;
-      stats.resumed += shard_stats.resumed;
+      stats += shard_stats;
       if (checkpoint->enabled() && !governance.cancelled()) {
         COACHLM_RETURN_NOT_OK(checkpoint->Finish());
       }

@@ -214,8 +214,7 @@ const std::set<std::string>& CancelWorkPrimitives() {
       "ParallelFor",          "ParallelForStatus",
       "ParallelMap",          "ParallelMapStatus",
       "ParallelReduce",       "RetryWithBackoff",
-      "RunCheckpointedLoop",  "RunGovernedCheckpointedLoop",
-      "Inject",
+      "RunItemLoop",          "Inject",
   };
   return kSet;
 }
