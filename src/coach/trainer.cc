@@ -54,7 +54,6 @@ CoachLm CoachTrainer::TrainOnCoachDataset(
       RevisionRecord record;
       record.original = std::move(original).ValueOrDie();
       record.revised = std::move(revised).ValueOrDie();
-      record.RecomputeDerived();
       extractor.Consume(record);
     }
   }

@@ -15,11 +15,13 @@ namespace coachlm {
 /// these functions.
 namespace editdist {
 
-/// Character-level Levenshtein distance (unit costs).
+/// Character-level Levenshtein distance (unit costs), exact. Bytes are the
+/// characters; the common prefix and suffix are trimmed and the rest runs
+/// through a bit-parallel (Myers/Hyyro) kernel, 64 columns per word.
 size_t CharDistance(const std::string& a, const std::string& b);
 
-/// Character-level distance with an early-exit \p bound: returns bound + 1
-/// as soon as the true distance provably exceeds it (Ukkonen band).
+/// Character-level distance clamped to \p bound + 1: returns bound + 1
+/// whenever the true distance exceeds \p bound.
 size_t CharDistanceBounded(const std::string& a, const std::string& b,
                            size_t bound);
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "coach/alpha_selection.h"
+#include "determinism_fixture.h"
 #include "expert/pipeline.h"
+#include "json/jsonl.h"
 #include "lm/pair_text.h"
 #include "synth/generator.h"
 
@@ -82,6 +86,23 @@ TEST_F(CoachTrainerTest, TrainingIsDeterministic) {
   const CoachLm a = CoachTrainer(config).Train(*revisions_);
   const CoachLm b = CoachTrainer(config).Train(*revisions_);
   EXPECT_EQ(a.rules().ToJson().Dump(), b.rules().ToJson().Dump());
+}
+
+TEST_F(CoachTrainerTest, CheckpointBytesMatchGolden) {
+  // Pins the trained checkpoint, so the alpha-selection ranking and the
+  // rules learned from it stay byte-for-byte what they were when
+  // recorded.
+  constexpr uint64_t kCheckpointGoldenHash = 5431599100172456465ULL;
+  CoachConfig config;
+  config.alpha = 0.3;
+  const CoachLm model = CoachTrainer(config).Train(*revisions_);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "coachlm_trainer_golden.json";
+  ASSERT_TRUE(model.SaveCheckpoint(path.string()).ok());
+  auto bytes = json::ReadFile(path.string());
+  std::filesystem::remove(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(testfix::Fnv1a(bytes.ValueOrDie()), kCheckpointGoldenHash);
 }
 
 }  // namespace
