@@ -43,7 +43,8 @@ inline constexpr uint32_t kBinaryCorpusVersion = 1;
 inline constexpr size_t kBinaryCorpusHeaderBytes = 12;
 inline constexpr size_t kBinaryBlockHeaderBytes = 16;
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over \p data.
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over \p data, computed by
+/// slicing-by-8 (eight table lookups per eight bytes).
 uint32_t Crc32(const void* data, size_t size);
 
 /// True when \p prefix (>= 8 bytes considered) starts with the corpus

@@ -1,6 +1,7 @@
 #include "data/record_stream.h"
 
 #include "common/metrics.h"
+#include "data/pair_codec.h"
 #include "json/jsonl.h"
 
 namespace coachlm {
@@ -82,18 +83,13 @@ Result<std::unique_ptr<JsonlRecordReader>> JsonlRecordReader::Open(
     const std::string& path, const RecordReadOptions& options) {
   COACHLM_ASSIGN_OR_RETURN(std::string text, json::ReadFile(path));
   CountMetric("io.bytes_read", text.size());
-  Result<std::vector<json::Value>> lines =
-      options.recover_torn_tail
-          ? json::ParseLinesRecoverable(text, /*info=*/nullptr)
-          : json::ParseLines(text);
-  COACHLM_ASSIGN_OR_RETURN(std::vector<json::Value> values, std::move(lines));
-  InstructionDataset dataset;
-  dataset.pairs().reserve(values.size());
-  for (const json::Value& value : values) {
-    COACHLM_ASSIGN_OR_RETURN(InstructionPair pair,
-                             InstructionPair::FromJson(value));
-    dataset.Add(std::move(pair));
-  }
+  COACHLM_ASSIGN_OR_RETURN(
+      std::vector<InstructionPair> pairs,
+      ReadPairLines(text, json::ParseLimits::Default(),
+                    options.recover_torn_tail
+                        ? json::LineFailureMode::kRecoverTornTail
+                        : json::LineFailureMode::kStrict));
+  InstructionDataset dataset(std::move(pairs));
   CountMetric("io.records_read", dataset.size());
   return std::unique_ptr<JsonlRecordReader>(
       new JsonlRecordReader(std::move(dataset)));
@@ -127,7 +123,7 @@ Status JsonlRecordWriter::Write(const InstructionPair& pair) {
   if (closed_) {
     return Status::FailedPrecondition("write to closed record writer");
   }
-  buffer_ += pair.ToJson().Dump();
+  AppendPairJson(pair, &buffer_);
   buffer_ += '\n';
   ++records_;
   return Status::OK();

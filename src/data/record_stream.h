@@ -126,7 +126,9 @@ class DatasetRecordWriter : public RecordWriter {
 /// pre-refactor bytes exactly: the JSON writer emits
 /// InstructionDataset::ToJson() (pretty array) and the JSONL writer one
 /// compact object per line — which is what keeps every golden corpus
-/// byte-identical across the refactor.
+/// byte-identical across the refactor. JSONL lines go through the typed
+/// codec of data/pair_codec.h, which writes and reads those bytes without
+/// a json::Value and hands any other line to json::Parse.
 /// @{
 
 class JsonArrayRecordReader : public RecordReader {

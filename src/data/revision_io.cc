@@ -1,36 +1,28 @@
 #include "data/revision_io.h"
 
+#include "data/pair_codec.h"
 #include "json/jsonl.h"
 
 namespace coachlm {
 
 Status SaveRevisions(const std::string& path,
                      const RevisionDataset& records) {
-  std::vector<json::Value> lines;
-  lines.reserve(records.size());
+  std::string out;
   for (const RevisionRecord& record : records) {
-    json::Object obj;
-    obj["original"] = record.original.ToJson();
-    obj["revised"] = record.revised.ToJson();
-    lines.push_back(json::Value(std::move(obj)));
+    AppendRevisionJson(record.original, record.revised, &out);
+    out += '\n';
   }
-  return json::SaveJsonl(path, lines);
+  return json::WriteFile(path, out);
 }
 
 Result<RevisionDataset> LoadRevisions(const std::string& path) {
-  COACHLM_ASSIGN_OR_RETURN(std::vector<json::Value> lines,
-                           json::LoadJsonl(path));
-  RevisionDataset records;
-  records.reserve(lines.size());
-  for (const json::Value& line : lines) {
-    RevisionRecord record;
-    COACHLM_ASSIGN_OR_RETURN(record.original,
-                             InstructionPair::FromJson(line.At("original")));
-    COACHLM_ASSIGN_OR_RETURN(record.revised,
-                             InstructionPair::FromJson(line.At("revised")));
-    record.RecomputeDerived();
-    records.push_back(std::move(record));
-  }
+  const json::ParseLimits& limits = json::ParseLimits::Default();
+  COACHLM_ASSIGN_OR_RETURN(
+      const std::string text,
+      json::ReadFileLimited(path, limits.max_input_bytes));
+  COACHLM_ASSIGN_OR_RETURN(RevisionDataset records,
+                           ReadRevisionLines(text, limits));
+  for (RevisionRecord& record : records) record.RecomputeDerived();
   return records;
 }
 

@@ -130,15 +130,5 @@ RevisionStudyResult RunRevisionStudy(const InstructionDataset& corpus,
   return result;
 }
 
-Result<RevisionStudyResult> RunRevisionStudy(RecordReader* corpus,
-                                             const synth::ContentEngine& engine,
-                                             const RevisionStudyConfig& config,
-                                             const EffortModel& effort,
-                                             const ExecutionContext& exec) {
-  COACHLM_ASSIGN_OR_RETURN(InstructionDataset dataset,
-                           ReadAllRecords(corpus));
-  return RunRevisionStudy(dataset, engine, config, effort, exec);
-}
-
 }  // namespace expert
 }  // namespace coachlm

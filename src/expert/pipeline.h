@@ -6,7 +6,6 @@
 #include "common/execution.h"
 #include "common/rng.h"
 #include "data/dataset.h"
-#include "data/record_stream.h"
 #include "data/revision_record.h"
 #include "expert/filtering.h"
 #include "expert/reviser.h"
@@ -79,15 +78,6 @@ struct RevisionStudyResult {
 /// thread count.
 RevisionStudyResult RunRevisionStudy(
     const InstructionDataset& corpus, const synth::ContentEngine& engine,
-    const RevisionStudyConfig& config = {}, const EffortModel& effort = {},
-    const ExecutionContext& exec = ExecutionContext::Default());
-
-/// Record-stream form: drains \p corpus (the study samples with random
-/// access, so the stream materializes once) and runs the same study —
-/// identical bytes whether the records came from a JSON file, JSONL, or
-/// sharded binary.
-[[nodiscard]] Result<RevisionStudyResult> RunRevisionStudy(
-    RecordReader* corpus, const synth::ContentEngine& engine,
     const RevisionStudyConfig& config = {}, const EffortModel& effort = {},
     const ExecutionContext& exec = ExecutionContext::Default());
 

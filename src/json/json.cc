@@ -80,42 +80,57 @@ Result<bool> Value::GetBool(const std::string& key) const {
   return v.AsBool();
 }
 
-std::string EscapeString(const std::string& s) {
-  std::string out = "\"";
-  for (unsigned char c : s) {
+void AppendEscaped(std::string_view s, std::string* out) {
+  out->push_back('"');
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  const auto copied = [](char c) {
+    const StringByte b = StringByteClass(c);
+    return b == StringByte::kPlain || b == StringByte::kHigh;
+  };
+  while (p != end) {
+    const char* run = p;
+    while (p != end && copied(*p)) ++p;
+    out->append(run, static_cast<size_t>(p - run));
+    if (p == end) break;
+    const unsigned char c = static_cast<unsigned char>(*p++);
     switch (c) {
       case '"':
-        out += "\\\"";
+        out->append("\\\"", 2);
         break;
       case '\\':
-        out += "\\\\";
+        out->append("\\\\", 2);
         break;
       case '\n':
-        out += "\\n";
+        out->append("\\n", 2);
         break;
       case '\r':
-        out += "\\r";
+        out->append("\\r", 2);
         break;
       case '\t':
-        out += "\\t";
+        out->append("\\t", 2);
         break;
       case '\b':
-        out += "\\b";
+        out->append("\\b", 2);
         break;
       case '\f':
-        out += "\\f";
+        out->append("\\f", 2);
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[6] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
     }
   }
-  out += '"';
+  out->push_back('"');
+}
+
+std::string EscapeString(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  AppendEscaped(s, &out);
   return out;
 }
 
@@ -145,7 +160,7 @@ void Value::DumpTo(std::string* out, int indent, int depth) const {
       break;
     }
     case Type::kString:
-      *out += EscapeString(string_);
+      AppendEscaped(string_, out);
       break;
     case Type::kArray: {
       *out += '[';
@@ -167,7 +182,7 @@ void Value::DumpTo(std::string* out, int indent, int depth) const {
         if (!first) *out += ',';
         first = false;
         newline(depth + 1);
-        *out += EscapeString(key);
+        AppendEscaped(key, out);
         *out += indent > 0 ? ": " : ":";
         v.DumpTo(out, indent, depth + 1);
       }
@@ -188,6 +203,31 @@ std::string Value::DumpPretty() const {
   std::string out;
   DumpTo(&out, 2, 0);
   return out;
+}
+
+size_t Utf8SequenceLength(const char* p, const char* end) {
+  const auto b = [&](size_t i) {
+    return static_cast<unsigned char>(p[i]);
+  };
+  const unsigned char lead = b(0);
+  const auto cont = [&](size_t i) { return (b(i) & 0xC0) == 0x80; };
+  if (lead < 0xC2) return 0;  // continuation byte or overlong C0/C1 lead
+  if (lead < 0xE0) {
+    return (end - p >= 2 && cont(1)) ? 2 : 0;
+  }
+  if (lead < 0xF0) {
+    if (end - p < 3 || !cont(1) || !cont(2)) return 0;
+    if (lead == 0xE0 && b(1) < 0xA0) return 0;               // overlong
+    if (lead == 0xED && b(1) >= 0xA0) return 0;              // surrogate
+    return 3;
+  }
+  if (lead < 0xF5) {
+    if (end - p < 4 || !cont(1) || !cont(2) || !cont(3)) return 0;
+    if (lead == 0xF0 && b(1) < 0x90) return 0;               // overlong
+    if (lead == 0xF4 && b(1) >= 0x90) return 0;              // > U+10FFFF
+    return 4;
+  }
+  return 0;
 }
 
 namespace {
@@ -422,36 +462,25 @@ class Parser {
     return Status::OK();
   }
 
-  Status AppendCheckedChar(std::string* out, char c) {
-    return AppendChecked(out, &c, 1);
+  /// Appends the run of kPlain bytes at p_ and moves past it. On overflow
+  /// p_ stops on the first byte past max_string_bytes, so the error names
+  /// that byte's offset.
+  Status AppendPlainRun(std::string* out) {
+    const char* run = p_;
+    while (p_ != end_ && StringByteClass(*p_) == StringByte::kPlain) ++p_;
+    const size_t n = static_cast<size_t>(p_ - run);
+    if (out->size() + n > limits_.max_string_bytes) {
+      p_ = run + (limits_.max_string_bytes - out->size());
+      return FailWith(StatusCode::kResourceExhausted,
+                      "string exceeds max_string_bytes=" +
+                          std::to_string(limits_.max_string_bytes));
+    }
+    out->append(run, n);
+    return Status::OK();
   }
 
-  /// Length of the valid UTF-8 sequence starting at \p p (whose lead byte
-  /// is >= 0x80), or 0 when the bytes are not well-formed UTF-8 (torn
-  /// sequence, overlong encoding, surrogate, or > U+10FFFF).
-  static size_t Utf8SequenceLength(const char* p, const char* end) {
-    const auto b = [&](size_t i) {
-      return static_cast<unsigned char>(p[i]);
-    };
-    const unsigned char lead = b(0);
-    const auto cont = [&](size_t i) { return (b(i) & 0xC0) == 0x80; };
-    if (lead < 0xC2) return 0;  // continuation byte or overlong C0/C1 lead
-    if (lead < 0xE0) {
-      return (end - p >= 2 && cont(1)) ? 2 : 0;
-    }
-    if (lead < 0xF0) {
-      if (end - p < 3 || !cont(1) || !cont(2)) return 0;
-      if (lead == 0xE0 && b(1) < 0xA0) return 0;               // overlong
-      if (lead == 0xED && b(1) >= 0xA0) return 0;              // surrogate
-      return 3;
-    }
-    if (lead < 0xF5) {
-      if (end - p < 4 || !cont(1) || !cont(2) || !cont(3)) return 0;
-      if (lead == 0xF0 && b(1) < 0x90) return 0;               // overlong
-      if (lead == 0xF4 && b(1) >= 0x90) return 0;              // > U+10FFFF
-      return 4;
-    }
-    return 0;
+  Status AppendCheckedChar(std::string* out, char c) {
+    return AppendChecked(out, &c, 1);
   }
 
   /// Reads the 4 hex digits after a \u escape's 'u' (p_ is on the 'u').
@@ -588,8 +617,7 @@ class Parser {
       } else if (c < 0x20) {
         return Fail("unescaped control character in string");
       } else if (c < 0x80) {
-        COACHLM_RETURN_NOT_OK(AppendCheckedChar(out, static_cast<char>(c)));
-        ++p_;
+        COACHLM_RETURN_NOT_OK(AppendPlainRun(out));
       } else {
         const size_t len = Utf8SequenceLength(p_, end_);
         if (len > 0) {
@@ -618,12 +646,12 @@ class Parser {
 
 }  // namespace
 
-Result<Value> Parse(const std::string& text, const ParseLimits& limits) {
+Result<Value> Parse(std::string_view text, const ParseLimits& limits) {
   Parser parser(text.data(), text.data() + text.size(), limits);
   return parser.ParseDocument();
 }
 
-Result<Value> Parse(const std::string& text) {
+Result<Value> Parse(std::string_view text) {
   return Parse(text, ParseLimits::Default());
 }
 

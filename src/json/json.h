@@ -1,10 +1,12 @@
 #ifndef COACHLM_JSON_JSON_H_
 #define COACHLM_JSON_JSON_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -104,10 +106,49 @@ class Value {
 /// risk. Rejects trailing garbage, unterminated strings, invalid escapes,
 /// and every ParseLimits violation — each with a typed Status carrying the
 /// byte offset.
-[[nodiscard]] Result<Value> Parse(const std::string& text, const ParseLimits& limits);
+[[nodiscard]] Result<Value> Parse(std::string_view text, const ParseLimits& limits);
 
 /// \brief Parses under the process-wide ParseLimits::Default().
-[[nodiscard]] Result<Value> Parse(const std::string& text);
+[[nodiscard]] Result<Value> Parse(std::string_view text);
+
+/// \brief What one byte means inside a JSON string literal.
+enum class StringByte : uint8_t {
+  kPlain,      ///< Copied as-is by the escaper and the parsers.
+  kQuote,      ///< '"': ends a literal; escaped on output.
+  kBackslash,  ///< '\\': starts an escape; escaped on output.
+  kControl,    ///< Below 0x20: escaped on output, rejected raw on input.
+  kHigh,       ///< 0x80 and up: copied on output, UTF-8-checked on input.
+};
+
+/// \brief The one byte-class table every string scanner runs on: the
+/// escaper (AppendEscaped), the DOM parser, and the typed pair codec copy
+/// whole runs of kPlain bytes instead of deciding byte by byte.
+inline constexpr std::array<StringByte, 256> kStringByteClass = [] {
+  std::array<StringByte, 256> table{};
+  for (size_t c = 0; c < 256; ++c) {
+    table[c] = c < 0x20    ? StringByte::kControl
+               : c == '"'  ? StringByte::kQuote
+               : c == '\\' ? StringByte::kBackslash
+               : c >= 0x80 ? StringByte::kHigh
+                           : StringByte::kPlain;
+  }
+  return table;
+}();
+
+/// \brief Class of byte \p c in kStringByteClass.
+inline StringByte StringByteClass(char c) {
+  return kStringByteClass[static_cast<unsigned char>(c)];
+}
+
+/// \brief Length of the well-formed UTF-8 sequence starting at \p p (whose
+/// lead byte is >= 0x80), or 0 when the bytes before \p end are not
+/// well-formed UTF-8 (torn sequence, overlong encoding, surrogate, or
+/// > U+10FFFF).
+size_t Utf8SequenceLength(const char* p, const char* end);
+
+/// \brief Appends \p s to \p out as a JSON string literal (with quotes):
+/// '"', '\\' and bytes below 0x20 are escaped, every other byte is copied.
+void AppendEscaped(std::string_view s, std::string* out);
 
 /// \brief Escapes a string into a JSON string literal (with quotes).
 std::string EscapeString(const std::string& s);

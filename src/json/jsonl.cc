@@ -1,5 +1,6 @@
 #include "json/jsonl.h"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -9,10 +10,20 @@ namespace json {
 Result<std::string> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+  if (size_error) {
+    // No size to take (a FIFO): drain the stream.
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    if (in.bad()) return Status::IoError("read failure on '" + path + "'");
+    return std::move(buffer).str();
+  }
+  std::string out(static_cast<size_t>(size), '\0');
+  in.read(out.data(), static_cast<std::streamsize>(out.size()));
   if (in.bad()) return Status::IoError("read failure on '" + path + "'");
-  return buffer.str();
+  out.resize(static_cast<size_t>(in.gcount()));  // it may have shrunk since
+  return out;
 }
 
 Result<std::string> ReadFileLimited(const std::string& path,
@@ -45,16 +56,10 @@ Status WriteFile(const std::string& path, const std::string& content) {
   return Status::OK();
 }
 
-namespace {
-
-enum class LineFailureMode { kStrict, kSkipInvalid, kRecoverTornTail };
-
-Result<std::vector<Value>> ParseLinesImpl(const std::string& text,
-                                          const ParseLimits& limits,
-                                          LineFailureMode mode,
-                                          size_t* num_invalid,
-                                          ParseLinesInfo* info) {
-  std::vector<Value> values;
+Status ForEachLine(
+    std::string_view text, const ParseLimits& limits, LineFailureMode mode,
+    const std::function<Status(std::string_view line)>& parse_line,
+    size_t* num_invalid, ParseLinesInfo* info) {
   if (num_invalid != nullptr) *num_invalid = 0;
   if (info != nullptr) *info = ParseLinesInfo();
   size_t line_no = 0;
@@ -64,14 +69,14 @@ Result<std::vector<Value>> ParseLinesImpl(const std::string& text,
     size_t nl = text.find('\n', pos);
     // A line without its '\n' terminator is by construction the last one;
     // if it then fails to parse, it is a torn write, not corruption.
-    const bool terminated = nl != std::string::npos;
+    const bool terminated = nl != std::string_view::npos;
     if (!terminated) nl = text.size();
-    std::string line = text.substr(pos, nl - pos);
+    std::string_view line = text.substr(pos, nl - pos);
     pos = nl + 1;
     ++line_no;
-    // Trim trailing CR and surrounding spaces.
+    // Trim trailing CR and spaces.
     while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
-      line.pop_back();
+      line.remove_suffix(1);
     }
     if (line.empty()) {
       if (pos > text.size()) break;
@@ -79,37 +84,53 @@ Result<std::vector<Value>> ParseLinesImpl(const std::string& text,
     }
     // A line over the record budget is rejected without parsing it: the
     // line length alone is the violation.
-    Result<Value> parsed =
+    const Status parsed =
         line.size() > limits.max_record_bytes
-            ? Result<Value>(Status::ResourceExhausted(
+            ? Status::ResourceExhausted(
                   "record of " + std::to_string(line.size()) +
                   " bytes exceeds max_record_bytes=" +
-                  std::to_string(limits.max_record_bytes)))
-            : Parse(line, limits);
-    if (!parsed.ok()) {
-      if (mode == LineFailureMode::kSkipInvalid) {
-        if (num_invalid != nullptr) ++*num_invalid;
-        continue;
-      }
-      if (!terminated) {
-        if (mode == LineFailureMode::kRecoverTornTail) {
-          if (info != nullptr) info->truncated_offset = line_start;
-          return values;
-        }
-        return Status::ParseError(
-            "truncated final line at byte offset " +
-            std::to_string(line_start) +
-            " (crash artifact; recoverable via ParseLinesRecoverable): " +
-            parsed.status().message());
-      }
-      // Keep the underlying code (resource, range, argument, parse) so
-      // quarantine records stay typed through the "line N:" wrapping.
-      return Status(parsed.status().code(),
-                    "line " + std::to_string(line_no) + ": " +
-                        parsed.status().message());
+                  std::to_string(limits.max_record_bytes))
+            : parse_line(line);
+    if (parsed.ok()) continue;
+    if (mode == LineFailureMode::kSkipInvalid) {
+      if (num_invalid != nullptr) ++*num_invalid;
+      continue;
     }
-    values.push_back(std::move(parsed).ValueOrDie());
+    if (!terminated) {
+      if (mode == LineFailureMode::kRecoverTornTail) {
+        if (info != nullptr) info->truncated_offset = line_start;
+        return Status::OK();
+      }
+      return Status::ParseError(
+          "truncated final line at byte offset " +
+          std::to_string(line_start) +
+          " (crash artifact; recoverable via ParseLinesRecoverable): " +
+          parsed.message());
+    }
+    // Keep the underlying code (resource, range, argument, parse) so
+    // quarantine records stay typed through the "line N:" wrapping.
+    return Status(parsed.code(), "line " + std::to_string(line_no) + ": " +
+                                     parsed.message());
   }
+  return Status::OK();
+}
+
+namespace {
+
+Result<std::vector<Value>> ParseLinesImpl(const std::string& text,
+                                          const ParseLimits& limits,
+                                          LineFailureMode mode,
+                                          size_t* num_invalid,
+                                          ParseLinesInfo* info) {
+  std::vector<Value> values;
+  COACHLM_RETURN_NOT_OK(ForEachLine(
+      text, limits, mode,
+      [&](std::string_view line) -> Status {
+        COACHLM_ASSIGN_OR_RETURN(Value value, Parse(line, limits));
+        values.push_back(std::move(value));
+        return Status::OK();
+      },
+      num_invalid, info));
   return values;
 }
 

@@ -1,7 +1,9 @@
 #ifndef COACHLM_JSON_JSONL_H_
 #define COACHLM_JSON_JSONL_H_
 
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -10,7 +12,9 @@
 namespace coachlm {
 namespace json {
 
-/// \brief Reads a whole file into a string.
+/// \brief Reads a whole file into a string. A file with a size is read in
+/// one call into a buffer of that size; one without (a FIFO) is drained
+/// through the stream.
 [[nodiscard]] Result<std::string> ReadFile(const std::string& path);
 
 /// \brief Reads a whole file into a string, rejecting files larger than
@@ -22,6 +26,42 @@ namespace json {
 
 /// \brief Writes \p content to \p path, replacing any existing file.
 [[nodiscard]] Status WriteFile(const std::string& path, const std::string& content);
+
+/// \brief Detail channel of ParseLinesRecoverable.
+struct ParseLinesInfo {
+  /// Byte offset where a torn (unterminated, unparseable) final line
+  /// begins; std::string::npos when the document ends cleanly.
+  size_t truncated_offset = static_cast<size_t>(-1);
+
+  bool truncated() const {
+    return truncated_offset != static_cast<size_t>(-1);
+  }
+};
+
+/// \brief What a JSONL line loop does with a line that fails to parse.
+enum class LineFailureMode {
+  /// Fail the whole document: "line N: ..." keeps the line's status code;
+  /// an unterminated final line reports its byte offset instead.
+  kStrict,
+  /// Drop the line and count it.
+  kSkipInvalid,
+  /// Like kStrict, except an unterminated final line ends the document
+  /// cleanly and its byte offset goes to ParseLinesInfo.
+  kRecoverTornTail,
+};
+
+/// \brief The one JSONL line splitter every line reader shares.
+///
+/// Splits \p text on '\n', trims trailing CR and spaces, and skips empty
+/// lines. A line longer than limits.max_record_bytes fails with
+/// kResourceExhausted without reaching \p parse_line; every other line is
+/// handed to it. A non-OK status from \p parse_line is that line's parse
+/// failure, handled per \p mode. \p num_invalid and \p info (either may be
+/// null) receive the kSkipInvalid count and the kRecoverTornTail offset.
+[[nodiscard]] Status ForEachLine(
+    std::string_view text, const ParseLimits& limits, LineFailureMode mode,
+    const std::function<Status(std::string_view line)>& parse_line,
+    size_t* num_invalid = nullptr, ParseLinesInfo* info = nullptr);
 
 /// \brief Parses a JSON-Lines document (one JSON value per non-empty line).
 ///
@@ -48,17 +88,6 @@ namespace json {
 [[nodiscard]] Result<std::vector<Value>> ParseLines(const std::string& text,
                                       bool skip_invalid = false,
                                       size_t* num_invalid = nullptr);
-
-/// \brief Detail channel of ParseLinesRecoverable.
-struct ParseLinesInfo {
-  /// Byte offset where a torn (unterminated, unparseable) final line
-  /// begins; std::string::npos when the document ends cleanly.
-  size_t truncated_offset = static_cast<size_t>(-1);
-
-  bool truncated() const {
-    return truncated_offset != static_cast<size_t>(-1);
-  }
-};
 
 /// \brief Like strict ParseLines, but treats a torn final line — the
 /// signature of a writer killed mid-append — as a recoverable condition:

@@ -147,43 +147,6 @@ InstructionDataset DataPlatform::ParseWithRuleScripts(
   return dataset;
 }
 
-Result<InstructionDataset> DataPlatform::IngestFromReader(
-    RecordReader* reader, size_t* dropped, PipelineRuntime* runtime) const {
-  if (runtime == nullptr) runtime = PipelineRuntime::Default();
-  InstructionDataset accepted;
-  if (reader->SizeHint() > 0) accepted.pairs().reserve(reader->SizeHint());
-  size_t drop_count = 0;
-  const size_t record_cap = json::ParseLimits::Default().max_record_bytes;
-  InstructionPair pair;
-  while (true) {
-    COACHLM_ASSIGN_OR_RETURN(const bool more, reader->Next(&pair));
-    if (!more) break;
-    // Same admission bar as the rule scripts: a rejected record is a drop
-    // (quarantined with provenance by an active runtime), never an abort.
-    const InstructionPair& candidate = pair;
-    const Status status = runtime->Run(FaultSite::kParse, candidate.id, [&] {
-      if (candidate.TotalChars() > record_cap) {
-        return Status::ResourceExhausted(
-            "ingested pair of " + std::to_string(candidate.TotalChars()) +
-            " chars exceeds max_record_bytes=" + std::to_string(record_cap));
-      }
-      if (!candidate.IsWellFormed()) {
-        return Status::ParseError("ingested pair " +
-                                  std::to_string(candidate.id) +
-                                  " lacks an instruction or output");
-      }
-      return Status::OK();
-    });
-    if (status.ok()) {
-      accepted.Add(pair);
-    } else {
-      ++drop_count;
-    }
-  }
-  if (dropped != nullptr) *dropped = drop_count;
-  return accepted;
-}
-
 BatchReport DataPlatform::RunCleaningBatch(
     const coach::CoachLm* coach, PipelineRuntime* runtime,
     coachlm::StageCheckpointer* checkpoint) const {

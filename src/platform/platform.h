@@ -8,7 +8,6 @@
 #include "common/clock.h"
 #include "common/execution.h"
 #include "data/dataset.h"
-#include "data/record_stream.h"
 #include "synth/generator.h"
 
 namespace coachlm {
@@ -94,16 +93,6 @@ class DataPlatform {
   /// quarantine log with its ParseError / fault provenance.
   InstructionDataset ParseWithRuleScripts(
       const std::vector<UserCase>& cases, size_t* dropped = nullptr,
-      PipelineRuntime* runtime = nullptr) const;
-
-  /// Ingests an already-parsed external corpus (REInstruct-style: raw
-  /// instruction data built elsewhere, arriving as JSON/JSONL/sharded
-  /// binary) through the same admission bar as the rule scripts: each
-  /// record runs under \p runtime at FaultSite::kParse, oversized or
-  /// malformed pairs are dropped (counted in \p dropped) and quarantined
-  /// by an active runtime, and ingestion never aborts on a bad record.
-  [[nodiscard]] Result<InstructionDataset> IngestFromReader(
-      RecordReader* reader, size_t* dropped = nullptr,
       PipelineRuntime* runtime = nullptr) const;
 
   /// Runs a full cleaning batch. When \p coach is non-null the CoachLM

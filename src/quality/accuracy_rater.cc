@@ -47,12 +47,5 @@ AccuracyRater::DatasetRating AccuracyRater::RateDataset(
   return rating;
 }
 
-Result<AccuracyRater::DatasetRating> AccuracyRater::RateRecords(
-    RecordReader* reader, const ExecutionContext& exec) const {
-  COACHLM_ASSIGN_OR_RETURN(InstructionDataset dataset,
-                           ReadAllRecords(reader));
-  return RateDataset(dataset, exec);
-}
-
 }  // namespace quality
 }  // namespace coachlm

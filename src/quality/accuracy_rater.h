@@ -4,7 +4,6 @@
 #include "common/execution.h"
 #include "data/dataset.h"
 #include "data/instruction_pair.h"
-#include "data/record_stream.h"
 
 namespace coachlm {
 namespace quality {
@@ -35,12 +34,6 @@ class AccuracyRater {
   /// floating-point mean) is bit-identical at any thread count.
   DatasetRating RateDataset(
       const InstructionDataset& dataset,
-      const ExecutionContext& exec = ExecutionContext::Default()) const;
-
-  /// Record-stream form of RateDataset: drains \p reader and rates the
-  /// materialized corpus — same bytes regardless of the on-disk backend.
-  [[nodiscard]] Result<DatasetRating> RateRecords(
-      RecordReader* reader,
       const ExecutionContext& exec = ExecutionContext::Default()) const;
 };
 

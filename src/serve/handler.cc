@@ -9,6 +9,7 @@
 #include "common/metrics.h"
 #include "common/runtime.h"
 #include "data/instruction_pair.h"
+#include "data/pair_codec.h"
 #include "json/json.h"
 #include "json/jsonl.h"
 
@@ -135,7 +136,7 @@ HttpResponse HandleRevise(const ServeContext& context, uint64_t request_id,
       revised = pair;
       ++quarantined;
     }
-    out += revised.ToJson().Dump();
+    AppendPairJson(revised, &out);
     out += '\n';
   }
   CountMetric("serve.records_revised", lines.size() - quarantined);

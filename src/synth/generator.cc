@@ -314,13 +314,5 @@ SynthCorpus SynthCorpusGenerator::GenerateItems(
   return corpus;
 }
 
-Status SynthCorpusGenerator::GenerateTo(RecordWriter* writer,
-                                        const ExecutionContext& exec,
-                                        PipelineRuntime* runtime,
-                                        StageCheckpointer* checkpoint) const {
-  const SynthCorpus corpus = Generate(exec, runtime, checkpoint);
-  return WriteAllRecords(writer, corpus.dataset);
-}
-
 }  // namespace synth
 }  // namespace coachlm

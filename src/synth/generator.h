@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "common/runtime.h"
 #include "data/dataset.h"
-#include "data/record_stream.h"
 #include "synth/content_engine.h"
 #include "synth/defect.h"
 
@@ -79,17 +78,6 @@ class SynthCorpusGenerator {
   /// token's cause (see RunItemLoop).
   SynthCorpus Generate(const ExecutionContext& exec, PipelineRuntime* runtime,
                        StageCheckpointer* checkpoint = nullptr) const;
-
-  /// Record-stream form: synthesizes the corpus and pushes every pair into
-  /// \p writer in id order (defect provenance is dropped — streaming
-  /// consumers never read it). The writer is not closed; the caller owns
-  /// the artifact lifecycle. Same fault/checkpoint semantics as
-  /// Generate(exec, runtime, checkpoint).
-  [[nodiscard]] Status GenerateTo(RecordWriter* writer,
-                                  const ExecutionContext& exec,
-                                  PipelineRuntime* runtime = nullptr,
-                                  StageCheckpointer* checkpoint =
-                                      nullptr) const;
 
   /// Generates a single pair (clean or deficient) with the given id; used
   /// by streaming consumers such as the platform simulator. Callers wanting

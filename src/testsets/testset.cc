@@ -1,7 +1,5 @@
 #include "testsets/testset.h"
 
-#include <set>
-
 #include "common/rng.h"
 #include "synth/content_engine.h"
 #include "synth/topic_bank.h"
@@ -129,21 +127,6 @@ TestSet SelfInstruct252() {
 
 std::vector<TestSet> AllTestSets() {
   return {CoachLm150(), PandaLm170(), Vicuna80(), SelfInstruct252()};
-}
-
-Result<TestSet> TestSetFromRecords(RecordReader* reader,
-                                   const std::string& name,
-                                   const std::string& reference_source) {
-  TestSet set;
-  set.name = name;
-  set.reference_source = reference_source;
-  COACHLM_ASSIGN_OR_RETURN(set.items, ReadAllRecords(reader));
-  std::set<Category> categories;
-  for (const InstructionPair& pair : set.items) {
-    categories.insert(pair.category);
-  }
-  set.num_categories = categories.size();
-  return set;
 }
 
 }  // namespace testsets

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "data/record_stream.h"
 
 namespace coachlm {
 namespace testsets {
@@ -60,13 +59,6 @@ TestSet SelfInstruct252();
 
 /// All four, in Table VI order.
 std::vector<TestSet> AllTestSets();
-
-/// Loads a custom test set from a record stream (any corpus backend): each
-/// record's `output` is the reference response the judge scores against.
-/// `num_categories` counts the distinct categories present.
-[[nodiscard]] Result<TestSet> TestSetFromRecords(
-    RecordReader* reader, const std::string& name,
-    const std::string& reference_source = "Custom");
 
 }  // namespace testsets
 }  // namespace coachlm

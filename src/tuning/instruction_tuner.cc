@@ -77,13 +77,5 @@ TunedModel InstructionTuner::Tune(const ModelSpec& spec,
   return TunedModel(spec, MeasureAlignment(dataset, exec, runtime));
 }
 
-Result<TunedModel> InstructionTuner::TuneFromRecords(
-    const ModelSpec& spec, RecordReader* reader, const ExecutionContext& exec,
-    PipelineRuntime* runtime) const {
-  COACHLM_ASSIGN_OR_RETURN(InstructionDataset dataset,
-                           ReadAllRecords(reader));
-  return Tune(spec, dataset, exec, runtime);
-}
-
 }  // namespace tuning
 }  // namespace coachlm

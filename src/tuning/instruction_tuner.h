@@ -4,7 +4,6 @@
 #include "common/execution.h"
 #include "common/runtime.h"
 #include "data/dataset.h"
-#include "data/record_stream.h"
 #include "tuning/tuned_model.h"
 
 namespace coachlm {
@@ -41,13 +40,6 @@ class InstructionTuner {
   TunedModel Tune(const ModelSpec& spec, const InstructionDataset& dataset,
                   const ExecutionContext& exec = ExecutionContext::Default(),
                   PipelineRuntime* runtime = nullptr) const;
-
-  /// Record-stream form of Tune: drains \p reader (any corpus backend —
-  /// JSON, JSONL, sharded binary) and tunes on the materialized dataset.
-  [[nodiscard]] Result<TunedModel> TuneFromRecords(
-      const ModelSpec& spec, RecordReader* reader,
-      const ExecutionContext& exec = ExecutionContext::Default(),
-      PipelineRuntime* runtime = nullptr) const;
 
  private:
   double coverage_k_;

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/rng.h"
 #include "data/record_stream.h"
 #include "json/jsonl.h"
 
@@ -14,6 +15,18 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+/// The byte-at-a-time CRC-32 loop Crc32 replaced, as the oracle.
+uint32_t ReferenceCrc32(const std::string& bytes) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const char byte : bytes) {
+    crc ^= static_cast<unsigned char>(byte);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
 }
 
 InstructionDataset MakeDataset(size_t n) {
@@ -210,6 +223,26 @@ TEST(BinaryCorpusTest, HasBinaryCorpusMagicDetectsHeader) {
   EXPECT_FALSE(HasBinaryCorpusMagic("CLMCORP"));   // too short
   EXPECT_FALSE(HasBinaryCorpusMagic("[{\"id\":1}]"));
   std::remove(path.c_str());
+}
+
+TEST(BinaryCorpusTest, Crc32MatchesCheckValue) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+TEST(BinaryCorpusTest, Crc32MatchesBytewiseLoopAtEveryLength) {
+  // Every length 0-64 covers the 8-byte slices, the tail loop, and each
+  // split between them; each length starts at every alignment 0-7.
+  Rng rng(20240917);
+  for (size_t len = 0; len <= 64; ++len) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      std::string buffer(offset + len, '\0');
+      for (char& c : buffer) c = static_cast<char>(rng.NextBelow(256));
+      const std::string bytes = buffer.substr(offset);
+      EXPECT_EQ(Crc32(buffer.data() + offset, len), ReferenceCrc32(bytes))
+          << "length " << len << " offset " << offset;
+    }
+  }
 }
 
 TEST(BinaryCorpusTest, InspectReportsBlocksAndRecords) {

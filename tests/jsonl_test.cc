@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <thread>
 
 namespace coachlm {
 namespace json {
@@ -115,6 +120,33 @@ TEST(JsonlTest, FileRoundTrip) {
   ASSERT_EQ(loaded->size(), 2u);
   EXPECT_EQ((*loaded)[1].At("text").AsString(), "multi\nline");
   std::remove(path.c_str());
+}
+
+TEST(JsonlTest, ReadFileOfEmptyFileIsEmpty) {
+  const std::string path = TempPath("coachlm_jsonl_empty.jsonl");
+  ASSERT_TRUE(WriteFile(path, "").ok());
+  auto text = ReadFile(path);
+  ASSERT_TRUE(text.ok());
+  EXPECT_TRUE(text->empty());
+  std::remove(path.c_str());
+}
+
+TEST(JsonlTest, ReadFileDrainsAFifo) {
+  // A FIFO has no size to take, so ReadFile drains it through the stream.
+  std::string dir = TempPath("coachlm_jsonl_fifo_XXXXXX");
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/pipe.jsonl";
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::string payload;
+  for (int i = 0; i < 5000; ++i) {
+    payload += "{\"id\":" + std::to_string(i) + "}\n";
+  }
+  std::thread writer([&] { EXPECT_TRUE(WriteFile(path, payload).ok()); });
+  auto text = ReadFile(path);
+  writer.join();
+  ASSERT_TRUE(text.ok());
+  EXPECT_EQ(*text, payload);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(JsonlTest, ReadMissingFileFails) {
