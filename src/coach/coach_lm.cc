@@ -3,6 +3,7 @@
 #include "coach/verifier.h"
 
 #include <cctype>
+#include <optional>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -125,7 +126,7 @@ std::string CoachLm::ReviseInstruction(const InstructionPair& pair,
   return strings::Trim(text);
 }
 
-std::string CoachLm::ComposeExpansion(const std::string& context,
+std::string CoachLm::ComposeExpansion(const lm::PreparedQuery& context,
                                       const std::string& existing,
                                       size_t max_new, Rng* rng) const {
   const auto retrieved =
@@ -163,7 +164,7 @@ std::string CoachLm::ComposeExpansion(const std::string& context,
 }
 
 std::string CoachLm::ComposeRewrite(const InstructionPair& pair,
-                                    const std::string& context,
+                                    const lm::PreparedQuery& context,
                                     Rng* rng) const {
   // Generation conditions on the task input first: when the instruction
   // carries a prose payload (a passage to work on), the replacement
@@ -234,7 +235,16 @@ void CoachLm::ApplyResponseRepairs(std::string* text_out) const {
 std::string CoachLm::ReviseResponse(const InstructionPair& pair,
                                     const std::string& new_instruction,
                                     Rng* rng) const {
-  const std::string context = new_instruction + "\n" + pair.input;
+  // The task context the backbone retrieves for, scanned at most once per
+  // pair: prepared on the first rewrite or expansion, which most pairs
+  // never reach.
+  std::optional<lm::PreparedQuery> prepared;
+  const auto context = [&]() -> const lm::PreparedQuery& {
+    if (!prepared.has_value()) {
+      prepared = backbone_->Prepare(new_instruction + "\n" + pair.input);
+    }
+    return *prepared;
+  };
   std::string text = pair.output;
 
   // Learned rewrite policy: weakly related (or empty) responses are
@@ -248,7 +258,7 @@ std::string CoachLm::ReviseResponse(const InstructionPair& pair,
       (strings::Trim(text).empty() ||
        relatedness < compiled_.rewrite_overlap_threshold());
   if (rewrite) {
-    const std::string fresh = ComposeRewrite(pair, context, rng);
+    const std::string fresh = ComposeRewrite(pair, context(), rng);
     if (!fresh.empty()) {
       text = fresh;
     }
@@ -263,7 +273,7 @@ std::string CoachLm::ReviseResponse(const InstructionPair& pair,
   while (added < compiled_.expansion_budget() &&
          static_cast<double>(strings::CountWords(text)) + 10.0 <
              target_words) {
-    const std::string expansion = ComposeExpansion(context, text, 1, rng);
+    const std::string expansion = ComposeExpansion(context(), text, 1, rng);
     if (strings::Trim(expansion).empty()) break;
     text += expansion;
     ++added;

@@ -133,11 +133,15 @@ class CoachLm {
   /// The wholesale-rewrite branch of response revision. Returns the
   /// replacement text, empty when generation produced nothing.
   std::string ComposeRewrite(const InstructionPair& pair,
-                             const std::string& context, Rng* rng) const;
+                             const lm::PreparedQuery& context,
+                             Rng* rng) const;
   /// The surface-repair block of response revision: the learned response
   /// rules, applied in place in docs/RULE_ENGINE.md order.
   void ApplyResponseRepairs(std::string* text) const;
-  std::string ComposeExpansion(const std::string& context,
+  /// Up to \p max_new retrieved sentences for \p context that \p existing
+  /// does not already hold, each with fluency noise, optional
+  /// verification and an optional learned marker; space-prefixed.
+  std::string ComposeExpansion(const lm::PreparedQuery& context,
                                const std::string& existing, size_t max_new,
                                Rng* rng) const;
 

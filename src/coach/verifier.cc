@@ -6,7 +6,7 @@ namespace coachlm {
 namespace coach {
 
 std::optional<std::string> ExpansionVerifier::Verify(
-    const std::string& context, const std::string& sentence,
+    const lm::PreparedQuery& context, const std::string& sentence,
     VerifierStats* stats) const {
   if (stats != nullptr) ++stats->checked;
 

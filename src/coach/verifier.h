@@ -42,11 +42,12 @@ class ExpansionVerifier {
                     double min_agreement = 0.08)
       : backbone_(backbone), min_agreement_(min_agreement) {}
 
-  /// Verifies one candidate expansion sentence against the task context.
+  /// Verifies one candidate expansion sentence against the task context
+  /// (prepared by the same backbone).
   /// Returns the (possibly repaired) sentence to append, or nullopt when
   /// the sentence should be dropped. \p stats (optional) accumulates
   /// counters.
-  std::optional<std::string> Verify(const std::string& context,
+  std::optional<std::string> Verify(const lm::PreparedQuery& context,
                                     const std::string& sentence,
                                     VerifierStats* stats = nullptr) const;
 

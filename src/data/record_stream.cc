@@ -64,7 +64,10 @@ Status DatasetRecordWriter::Write(const InstructionPair& pair) {
 
 Result<std::unique_ptr<JsonArrayRecordReader>> JsonArrayRecordReader::Open(
     const std::string& path) {
-  COACHLM_ASSIGN_OR_RETURN(std::string text, json::ReadFile(path));
+  COACHLM_ASSIGN_OR_RETURN(
+      std::string text,
+      json::ReadFileLimited(path,
+                            json::ParseLimits::Default().max_input_bytes));
   CountMetric("io.bytes_read", text.size());
   COACHLM_ASSIGN_OR_RETURN(InstructionDataset dataset,
                            InstructionDataset::FromJson(text));
@@ -81,11 +84,13 @@ Result<bool> JsonArrayRecordReader::Next(InstructionPair* pair) {
 
 Result<std::unique_ptr<JsonlRecordReader>> JsonlRecordReader::Open(
     const std::string& path, const RecordReadOptions& options) {
-  COACHLM_ASSIGN_OR_RETURN(std::string text, json::ReadFile(path));
+  const json::ParseLimits& limits = json::ParseLimits::Default();
+  COACHLM_ASSIGN_OR_RETURN(
+      std::string text, json::ReadFileLimited(path, limits.max_input_bytes));
   CountMetric("io.bytes_read", text.size());
   COACHLM_ASSIGN_OR_RETURN(
       std::vector<InstructionPair> pairs,
-      ReadPairLines(text, json::ParseLimits::Default(),
+      ReadPairLines(text, limits,
                     options.recover_torn_tail
                         ? json::LineFailureMode::kRecoverTornTail
                         : json::LineFailureMode::kStrict));

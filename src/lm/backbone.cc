@@ -44,6 +44,9 @@ BackboneProfile ChatGlm26B() {
 
 namespace {
 
+/// The lexicon value marking a stopword (word ids count up from 0).
+constexpr uint32_t kStopword = WordTable::kAbsent - 1;
+
 /// One memory document before indexing: the retained sentences plus the
 /// association key (the sorted content words of the whole source document).
 struct SourceDoc {
@@ -95,31 +98,55 @@ BackboneModel::BackboneModel(BackboneProfile profile)
                              profile_.knowledge_coverage, &rng);
     if (!doc.sentences.empty()) docs.push_back(std::move(doc));
   }
+  for (const std::string& stopword : lexicons::Stopwords()) {
+    lexicon_.Insert(stopword, kStopword);
+  }
   mask_blocks_ = (docs.size() + 63) / 64;
   for (size_t d = 0; d < docs.size(); ++d) {
     for (const std::string& word : docs[d].key_words) {
-      const auto [it, inserted] =
-          word_ids_.emplace(word, static_cast<uint32_t>(word_ids_.size()));
-      if (inserted) doc_masks_.resize(doc_masks_.size() + mask_blocks_, 0);
-      uint64_t* mask = &doc_masks_[it->second * mask_blocks_];
+      const uint32_t next_id = static_cast<uint32_t>(key_lengths_.size());
+      const uint32_t id = lexicon_.Insert(word, next_id);
+      if (id == next_id) {
+        key_lengths_.push_back(static_cast<uint32_t>(word.size()));
+        doc_masks_.resize(doc_masks_.size() + mask_blocks_, 0);
+      }
+      uint64_t* mask = &doc_masks_[id * mask_blocks_];
       mask[d / 64] |= uint64_t{1} << (d % 64);
     }
+    std::vector<std::string> lower;
     for (const std::string& sentence : docs[d].sentences) {
       fluency_lm_.AddText(sentence);
+      lower.push_back(strings::Lower(sentence));
     }
     doc_sentences_.push_back(std::move(docs[d].sentences));
+    doc_sentences_lower_.push_back(std::move(lower));
   }
 }
 
-BackboneModel::QueryTally BackboneModel::Tally(const std::string& text) const {
+QueryTally BackboneModel::Tally(std::string_view lower) const {
+  std::vector<uint32_t> ids;
+  std::vector<std::string_view> unknown;
+  similarity::ForEachCandidateWord(lower, [&](std::string_view word) {
+    const uint32_t value = lexicon_.Find(word);
+    if (value == kStopword) return;
+    if (value == WordTable::kAbsent) {
+      unknown.push_back(word);
+    } else {
+      ids.push_back(value);
+    }
+  });
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::sort(unknown.begin(), unknown.end());
+  unknown.erase(std::unique(unknown.begin(), unknown.end()), unknown.end());
+
   QueryTally tally;
   tally.docs.resize(doc_sentences_.size());
-  for (const std::string& word : similarity::SortedContentWords(text)) {
-    const size_t length = word.size();
+  for (const std::string_view word : unknown) tally.total += word.size();
+  for (const uint32_t id : ids) {
+    const size_t length = key_lengths_[id];
     tally.total += length;
-    const auto it = word_ids_.find(word);
-    if (it == word_ids_.end()) continue;
-    const uint64_t* mask = &doc_masks_[it->second * mask_blocks_];
+    const uint64_t* mask = &doc_masks_[id * mask_blocks_];
     for (size_t block = 0; block < mask_blocks_; ++block) {
       for (uint64_t bits = mask[block]; bits != 0; bits &= bits - 1) {
         DocTally& doc = tally.docs[block * 64 + std::countr_zero(bits)];
@@ -132,11 +159,18 @@ BackboneModel::QueryTally BackboneModel::Tally(const std::string& text) const {
   return tally;
 }
 
+PreparedQuery BackboneModel::Prepare(const std::string& text) const {
+  PreparedQuery query;
+  query.lower = strings::Lower(text);
+  query.tally = Tally(query.lower);
+  return query;
+}
+
 std::vector<std::string> BackboneModel::RetrieveRelevant(
-    const std::string& context, const std::string& existing,
+    const PreparedQuery& context, const std::string& existing,
     size_t max_sentences) const {
   constexpr double kActivationThreshold = 0.15;
-  const QueryTally tally = Tally(context);
+  const QueryTally& tally = context.tally;
   double best_score = 0.0;
   size_t best_doc = doc_sentences_.size();
   bool best_activates = false;
@@ -164,26 +198,40 @@ std::vector<std::string> BackboneModel::RetrieveRelevant(
   // Case-insensitive presence checks: revised text often carries a
   // decapitalized copy of a memory sentence after a discourse marker.
   const std::string existing_lower = strings::Lower(existing);
-  const std::string context_lower = strings::Lower(context);
-  for (const std::string& sentence : doc_sentences_[best_doc]) {
+  const std::vector<std::string>& sentences = doc_sentences_[best_doc];
+  const std::vector<std::string>& lower = doc_sentences_lower_[best_doc];
+  for (size_t s = 0; s < sentences.size(); ++s) {
     if (out.size() >= max_sentences) break;
-    const std::string sentence_lower = strings::Lower(sentence);
-    if (strings::Contains(existing_lower, sentence_lower)) continue;
-    if (strings::Contains(context_lower, sentence_lower)) continue;
-    out.push_back(sentence);
+    if (strings::Contains(existing_lower, lower[s])) continue;
+    if (strings::Contains(context.lower, lower[s])) continue;
+    out.push_back(sentences[s]);
   }
   return out;
 }
 
-double BackboneModel::TopicalAgreement(const std::string& a,
-                                       const std::string& b) const {
-  const QueryTally tally_a = Tally(a);
-  const QueryTally tally_b = Tally(b);
+std::vector<std::string> BackboneModel::RetrieveRelevant(
+    const std::string& context, const std::string& existing,
+    size_t max_sentences) const {
+  return RetrieveRelevant(Prepare(context), existing, max_sentences);
+}
+
+double BackboneModel::Agreement(const QueryTally& a,
+                                const QueryTally& b) const {
   double best = 0.0;
   for (size_t i = 0; i < doc_sentences_.size(); ++i) {
-    best = std::max(best, std::min(tally_a.Score(i), tally_b.Score(i)));
+    best = std::max(best, std::min(a.Score(i), b.Score(i)));
   }
   return best;
+}
+
+double BackboneModel::TopicalAgreement(const PreparedQuery& a,
+                                       const std::string& b) const {
+  return Agreement(a.tally, Tally(strings::Lower(b)));
+}
+
+double BackboneModel::TopicalAgreement(const std::string& a,
+                                       const std::string& b) const {
+  return Agreement(Tally(strings::Lower(a)), Tally(strings::Lower(b)));
 }
 
 std::string BackboneModel::ApplyFluencyNoise(const std::string& sentence,

@@ -3,11 +3,12 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "text/ngram_lm.h"
+#include "text/word_table.h"
 
 namespace coachlm {
 namespace lm {
@@ -38,6 +39,40 @@ BackboneProfile Llama7B();
 BackboneProfile ChatGlm6B();
 BackboneProfile ChatGlm26B();
 
+/// One query's evidence for one memory document, in integer word lengths.
+struct DocTally {
+  size_t matched = 0;  ///< summed length of the matched words
+  size_t count = 0;    ///< how many content words matched
+  size_t longest = 0;  ///< length of the longest matched word
+};
+
+/// A query scored against every memory document at once.
+struct QueryTally {
+  size_t total = 0;  ///< summed length of the query's content words
+  std::vector<DocTally> docs;
+
+  /// Length-weighted fraction of the query's content words covered by
+  /// doc \p i's key; 0 when the query has no content words. Both sums
+  /// are integers, so the quotient is the same whatever order the words
+  /// were visited in.
+  double Score(size_t i) const {
+    return total == 0 ? 0.0
+                      : static_cast<double>(docs[i].matched) /
+                            static_cast<double>(total);
+  }
+};
+
+/// \brief A query text prepared once for repeated scoring: its lower-cased
+/// bytes and its tally against every memory document. Built by
+/// BackboneModel::Prepare and meaningful only to the model that built it.
+/// A revision scores its task context against the memory once per
+/// retrieval and once per verified sentence; preparing the context once
+/// per pair keeps that to one scan.
+struct PreparedQuery {
+  std::string lower;
+  QueryTally tally;
+};
+
 /// \brief A backbone LLM: associative pre-training memory plus fluency.
 ///
 /// The memory is a per-subject document store built from the
@@ -51,16 +86,27 @@ BackboneProfile ChatGlm26B();
 /// provides fluency scoring.
 ///
 /// The keys are stored inverted: each key word is interned once to a word
-/// id with a bitmask of the documents whose key holds it, so scoring a
-/// query against every document costs one lookup per query word.
+/// id with a bitmask of the documents whose key holds it. One flat lexicon
+/// over the stopwords and the key words answers, for each word of a query,
+/// "stopword", "word id" or "unknown", so scoring a query against every
+/// document costs one scan of its lower-cased bytes and one probe per
+/// word.
 class BackboneModel {
  public:
   explicit BackboneModel(BackboneProfile profile);
+
+  /// Lower-cases \p text and tallies its distinct content words against
+  /// every memory document.
+  PreparedQuery Prepare(const std::string& text) const;
 
   /// Retrieves up to \p max_sentences unused sentences from the document
   /// best matching \p context (skipping sentences already in \p existing
   /// or \p context). Returns nothing when no document clears the
   /// activation threshold — the model simply lacks the knowledge.
+  std::vector<std::string> RetrieveRelevant(const PreparedQuery& context,
+                                            const std::string& existing,
+                                            size_t max_sentences) const;
+  /// The same, preparing \p context for this one call.
   std::vector<std::string> RetrieveRelevant(const std::string& context,
                                             const std::string& existing,
                                             size_t max_sentences) const;
@@ -68,6 +114,7 @@ class BackboneModel {
   /// Associative relatedness of two texts: the strongest document that
   /// both texts activate, max_i min(score_i(a), score_i(b)). High when a
   /// question and an answer are about the same remembered subject.
+  double TopicalAgreement(const PreparedQuery& a, const std::string& b) const;
   double TopicalAgreement(const std::string& a, const std::string& b) const;
 
   /// Applies the backbone's fluency noise to a sentence: with probability
@@ -82,38 +129,25 @@ class BackboneModel {
   size_t num_docs() const { return doc_sentences_.size(); }
 
  private:
-  /// One query's evidence for one document, in integer word lengths.
-  struct DocTally {
-    size_t matched = 0;  ///< summed length of the matched words
-    size_t count = 0;    ///< how many content words matched
-    size_t longest = 0;  ///< length of the longest matched word
-  };
+  /// Scans the lower-cased text \p lower once: each content word is
+  /// probed in the lexicon, known words are de-duplicated by id and
+  /// unknown ones by their bytes (they still count toward `total`), and
+  /// the known ids are tallied against every document through the word
+  /// index.
+  QueryTally Tally(std::string_view lower) const;
 
-  /// A query scored against every document at once.
-  struct QueryTally {
-    size_t total = 0;  ///< summed length of the query's content words
-    std::vector<DocTally> docs;
-
-    /// Length-weighted fraction of the query's content words covered by
-    /// doc \p i's key; 0 when the query has no content words. Both sums
-    /// are integers, so the quotient is the same whatever order the words
-    /// were visited in.
-    double Score(size_t i) const {
-      return total == 0 ? 0.0
-                        : static_cast<double>(docs[i].matched) /
-                              static_cast<double>(total);
-    }
-  };
-
-  /// Tokenizes \p text once into its distinct content words and tallies
-  /// them against every document through the word index.
-  QueryTally Tally(const std::string& text) const;
+  /// max_i min(a.Score(i), b.Score(i)).
+  double Agreement(const QueryTally& a, const QueryTally& b) const;
 
   BackboneProfile profile_;
   /// Retained sentences of each memory document.
   std::vector<std::vector<std::string>> doc_sentences_;
-  /// Interned key words: word -> word id.
-  std::unordered_map<std::string, uint32_t> word_ids_;
+  /// doc_sentences_, lower-cased once for the retrieval presence checks.
+  std::vector<std::vector<std::string>> doc_sentences_lower_;
+  /// Stopwords (value kStopword) and key words (value = word id).
+  WordTable lexicon_;
+  /// Byte length of each key word, by word id.
+  std::vector<uint32_t> key_lengths_;
   /// `mask_blocks_` words per word id; bit d set when doc d's key holds
   /// the word.
   std::vector<uint64_t> doc_masks_;

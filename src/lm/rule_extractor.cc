@@ -71,10 +71,17 @@ std::vector<std::string> TokenizeWithLayout(const std::string& text) {
 }
 
 bool LooksLikeClosing(const std::string& sentence) {
-  const std::string lower = strings::Lower(sentence);
   if (sentence.find('!') != std::string::npos) return true;
-  for (const std::string& marker : lexicons::PolitenessMarkers()) {
-    if (strings::Contains(lower, strings::Lower(marker))) return true;
+  static const std::vector<std::string> kLowerMarkers = [] {
+    std::vector<std::string> markers;
+    for (const std::string& marker : lexicons::PolitenessMarkers()) {
+      markers.push_back(strings::Lower(marker));
+    }
+    return markers;
+  }();
+  const std::string lower = strings::Lower(sentence);
+  for (const std::string& marker : kLowerMarkers) {
+    if (strings::Contains(lower, marker)) return true;
   }
   return false;
 }

@@ -1,5 +1,7 @@
 #include "text/lexicons.h"
 
+#include "text/word_table.h"
+
 namespace coachlm {
 namespace lexicons {
 
@@ -17,6 +19,15 @@ const std::unordered_set<std::string>& Stopwords() {
       "some", "such", "only", "own",  "so",   "than", "too",   "very",
   };
   return kSet;
+}
+
+bool IsStopword(std::string_view word) {
+  static const WordTable kTable = [] {
+    WordTable table;
+    for (const std::string& stopword : Stopwords()) table.Insert(stopword, 0);
+    return table;
+  }();
+  return kTable.Find(word) != WordTable::kAbsent;
 }
 
 const std::vector<std::string>& PolitenessMarkers() {

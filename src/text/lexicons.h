@@ -2,6 +2,7 @@
 #define COACHLM_TEXT_LEXICONS_H_
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -19,6 +20,10 @@ namespace lexicons {
 
 /// Common English stopwords (lower-case).
 const std::unordered_set<std::string>& Stopwords();
+
+/// True when \p word is one of Stopwords(); probes a flat table by view,
+/// so a scanner can test a field without copying it.
+bool IsStopword(std::string_view word);
 
 /// Words/phrases signalling a humanized, empathetic tone.
 const std::vector<std::string>& PolitenessMarkers();

@@ -1,6 +1,7 @@
 #include "text/repair.h"
 
 #include <cctype>
+#include <string_view>
 
 #include "text/lexicons.h"
 #include "text/string_util.h"
@@ -51,18 +52,18 @@ std::string CapitalizeSentences(const std::string& text) {
 }
 
 std::string RemoveDoubledWords(const std::string& text) {
-  const auto words = tokenizer::WhitespaceTokenize(text);
+  // Fields are compared as views into the text; only the kept ones are
+  // copied, joined by single spaces (so newlines flatten, and callers
+  // apply this repair to prose only).
   std::string out;
-  const std::string* prev = nullptr;
-  for (const std::string& word : words) {
-    if (prev != nullptr && word.size() > 1 && word == *prev) continue;
+  out.reserve(text.size());
+  std::string_view prev;
+  tokenizer::ForEachField(text, [&](std::string_view word) {
+    if (!out.empty() && word.size() > 1 && word == prev) return;
     if (!out.empty()) out += ' ';
     out += word;
-    prev = &word;
-  }
-  // Preserve leading/trailing newlines coarsely: whitespace tokenization
-  // flattens newlines, so only apply this repair to prose (the callers
-  // check for list structure first).
+    prev = word;
+  });
   return out;
 }
 

@@ -1,86 +1,74 @@
 #include "text/similarity.h"
 
 #include <algorithm>
-#include <cctype>
-#include <string_view>
 
 #include "text/lexicons.h"
-#include "text/tokenizer.h"
+#include "text/string_util.h"
 
 namespace coachlm {
 namespace similarity {
 
 namespace {
 
-/// Calls \p sink with every content-word occurrence of \p text, in text
-/// order (duplicates included): the lower-cased WordTokenize word tokens of
-/// length >= 3 that are not stopwords. It walks the whitespace fields in
-/// place instead of materializing the token list, because the backbone
-/// tokenizes every query this way.
-template <typename Sink>
-void ForEachContentWord(const std::string& text, Sink sink) {
-  const auto& stopwords = lexicons::Stopwords();
-  const auto is_space = [&text](size_t i) {
-    return std::isspace(static_cast<unsigned char>(text[i])) != 0;
-  };
-  std::string word;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && is_space(i)) ++i;
-    const size_t field_begin = i;
-    while (i < text.size() && !is_space(i)) ++i;
-    const std::string_view core = tokenizer::WordCore(
-        std::string_view(text).substr(field_begin, i - field_begin));
-    if (core.size() < 3) continue;
-    word.assign(core);
-    if (tokenizer::IsPunctuation(word)) continue;
-    for (char& c : word) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+/// How many words two sorted, de-duplicated word lists share. A count, so
+/// the ratios built from it do not depend on the order words were seen in.
+size_t CountCommon(const std::vector<std::string_view>& a,
+                   const std::vector<std::string_view>& b) {
+  size_t common = 0;
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() && ib != b.end()) {
+    if (*ia < *ib) {
+      ++ia;
+    } else if (*ib < *ia) {
+      ++ib;
+    } else {
+      ++common;
+      ++ia;
+      ++ib;
     }
-    if (stopwords.count(word) > 0) continue;
-    sink(word);
   }
+  return common;
 }
 
-}  // namespace
-
-std::unordered_set<std::string> ContentWords(const std::string& text) {
-  std::unordered_set<std::string> words;
-  ForEachContentWord(text,
-                     [&words](const std::string& word) { words.insert(word); });
-  return words;
-}
-
-std::vector<std::string> SortedContentWords(const std::string& text) {
-  std::vector<std::string> words;
-  ForEachContentWord(
-      text, [&words](const std::string& word) { words.push_back(word); });
+/// The distinct content words of the lower-cased text \p lower, sorted, as
+/// views into \p lower.
+std::vector<std::string_view> SortedContentWordViews(std::string_view lower) {
+  std::vector<std::string_view> words;
+  ForEachCandidateWord(lower, [&words](std::string_view word) {
+    if (!lexicons::IsStopword(word)) words.push_back(word);
+  });
   std::sort(words.begin(), words.end());
   words.erase(std::unique(words.begin(), words.end()), words.end());
   return words;
 }
 
+}  // namespace
+
+std::vector<std::string> SortedContentWords(const std::string& text) {
+  const std::string lower = strings::Lower(text);
+  const std::vector<std::string_view> views = SortedContentWordViews(lower);
+  return std::vector<std::string>(views.begin(), views.end());
+}
+
 double ContentOverlap(const std::string& a, const std::string& b) {
-  const auto wa = ContentWords(a);
-  const auto wb = ContentWords(b);
+  const std::string lower_a = strings::Lower(a);
+  const std::string lower_b = strings::Lower(b);
+  const auto wa = SortedContentWordViews(lower_a);
+  const auto wb = SortedContentWordViews(lower_b);
   if (wa.empty() || wb.empty()) return 0.0;
-  size_t common = 0;
-  for (const std::string& w : wa) {
-    if (wb.count(w) > 0) ++common;
-  }
+  const size_t common = CountCommon(wa, wb);
   const size_t total = wa.size() + wb.size() - common;
   return total == 0 ? 0.0
                     : static_cast<double>(common) / static_cast<double>(total);
 }
 
 double Containment(const std::string& query, const std::string& doc) {
-  const auto wq = ContentWords(query);
+  const std::string lower_query = strings::Lower(query);
+  const auto wq = SortedContentWordViews(lower_query);
   if (wq.empty()) return 0.0;
-  const auto wd = ContentWords(doc);
-  size_t covered = 0;
-  for (const std::string& w : wq) {
-    if (wd.count(w) > 0) ++covered;
-  }
+  const std::string lower_doc = strings::Lower(doc);
+  const size_t covered = CountCommon(wq, SortedContentWordViews(lower_doc));
   return static_cast<double>(covered) / static_cast<double>(wq.size());
 }
 

@@ -2,8 +2,10 @@
 #define COACHLM_TEXT_SIMILARITY_H_
 
 #include <string>
-#include <unordered_set>
+#include <string_view>
 #include <vector>
+
+#include "text/tokenizer.h"
 
 namespace coachlm {
 
@@ -11,11 +13,25 @@ namespace coachlm {
 /// (relevance scoring) and the backbone knowledge retrieval.
 namespace similarity {
 
-/// Lower-cased non-stopword words of length >= 3.
-std::unordered_set<std::string> ContentWords(const std::string& text);
+/// Calls \p sink with every content-word candidate of \p lower, a
+/// lower-cased text, in text order with duplicates: the WordTokenize word
+/// token of each whitespace field when it has at least three bytes, as a
+/// view into \p lower. (A non-empty WordCore always keeps a byte that is
+/// not punctuation, so no word is all punctuation.) Case does not change
+/// what is space, punctuation or a digit, so lower-casing the whole text
+/// first yields the same words as lower-casing each token. Stopwords are
+/// left to the caller, which tests them in its own table.
+template <typename Sink>
+void ForEachCandidateWord(std::string_view lower, Sink&& sink) {
+  tokenizer::ForEachField(lower, [&sink](std::string_view field) {
+    const std::string_view core = tokenizer::WordCore(field);
+    if (core.size() < 3) return;
+    sink(core);
+  });
+}
 
-/// The same words as ContentWords, sorted and without duplicates, so that
-/// iterating them cannot depend on hash order.
+/// The content words of \p text: its lower-cased candidate words that are
+/// not stopwords, sorted and without duplicates.
 std::vector<std::string> SortedContentWords(const std::string& text);
 
 /// Jaccard similarity of the content-word sets of \p a and \p b.

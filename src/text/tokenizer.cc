@@ -16,7 +16,7 @@ bool IsOpening(const std::string& tok) {
 
 }  // namespace
 
-bool IsPunctuation(const std::string& token) {
+bool IsPunctuation(std::string_view token) {
   if (token.empty()) return false;
   for (char c : token) {
     if (!IsPunctChar(c)) return false;
@@ -26,18 +26,9 @@ bool IsPunctuation(const std::string& token) {
 
 std::vector<std::string> WhitespaceTokenize(const std::string& text) {
   std::vector<std::string> tokens;
-  std::string current;
-  for (char c : text) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      if (!current.empty()) {
-        tokens.push_back(std::move(current));
-        current.clear();
-      }
-    } else {
-      current += c;
-    }
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
+  ForEachField(text, [&tokens](std::string_view field) {
+    tokens.emplace_back(field);
+  });
   return tokens;
 }
 

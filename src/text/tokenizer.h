@@ -1,6 +1,7 @@
 #ifndef COACHLM_TEXT_TOKENIZER_H_
 #define COACHLM_TEXT_TOKENIZER_H_
 
+#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +26,24 @@ std::vector<std::string> WordTokenize(const std::string& text);
 /// field is all punctuation.
 std::string_view WordCore(std::string_view field);
 
+/// Calls \p sink with each whitespace-delimited field of \p text, in
+/// order, as a view into \p text: the fields WhitespaceTokenize returns,
+/// without copying them.
+template <typename Sink>
+void ForEachField(std::string_view text, Sink&& sink) {
+  const auto is_space = [text](size_t i) {
+    return std::isspace(static_cast<unsigned char>(text[i])) != 0;
+  };
+  size_t i = 0;
+  while (true) {
+    while (i < text.size() && is_space(i)) ++i;
+    if (i == text.size()) return;
+    const size_t begin = i;
+    while (i < text.size() && !is_space(i)) ++i;
+    sink(text.substr(begin, i - begin));
+  }
+}
+
 /// Splits \p text on whitespace only (fields keep punctuation).
 std::vector<std::string> WhitespaceTokenize(const std::string& text);
 
@@ -37,7 +56,7 @@ std::string Detokenize(const std::vector<std::string>& tokens);
 std::vector<std::string> SplitSentences(const std::string& text);
 
 /// True when the token consists solely of ASCII punctuation.
-bool IsPunctuation(const std::string& token);
+bool IsPunctuation(std::string_view token);
 
 }  // namespace tokenizer
 }  // namespace coachlm

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "synth/generator.h"
 #include "synth/topic_bank.h"
+#include "text/similarity.h"
 #include "text/string_util.h"
 
 namespace coachlm {
@@ -162,6 +166,71 @@ TEST(BackboneTest, EdgeQueriesScoreAsDefined) {
   const auto code = model.RetrieveRelevant("def fibonacci(n): sequence", "", 3);
   ASSERT_FALSE(code.empty());
   EXPECT_GT(model.TopicalAgreement("def fibonacci(n):", code[0]), 0.0);
+}
+
+/// The tally the lexicon scanner must reproduce, composed from
+/// similarity::SortedContentWords: each distinct content word adds its
+/// length to `total`, and to every document whose key holds it (read off
+/// the word's own single-word query).
+QueryTally ReferenceTally(const BackboneModel& model, const std::string& text) {
+  QueryTally ref;
+  ref.docs.resize(model.num_docs());
+  for (const std::string& word : similarity::SortedContentWords(text)) {
+    ref.total += word.size();
+    const QueryTally single = model.Prepare(word).tally;
+    EXPECT_EQ(single.total, word.size()) << word;
+    for (size_t d = 0; d < model.num_docs(); ++d) {
+      if (single.docs[d].count == 0) continue;
+      EXPECT_EQ(single.docs[d].count, 1u) << word;
+      DocTally& doc = ref.docs[d];
+      doc.matched += word.size();
+      ++doc.count;
+      doc.longest = std::max(doc.longest, word.size());
+    }
+  }
+  return ref;
+}
+
+TEST(BackboneTest, ScannerTalliesMatchSortedContentWords) {
+  const BackboneModel model(ChatGlm26B());
+  const synth::Topic* gravity = synth::FindTopicIn("gravity");
+  ASSERT_NE(gravity, nullptr);
+  std::vector<std::string> texts = {
+      "",
+      "THE",
+      "The THE the tHe and AND",
+      "Gravity gravity GRAVITY gravity. (Gravity)",
+      "Explain GRAVITY and Gravitational pull, then gravity again.",
+      "caf\xc3\xa9 na\xc3\xafve \xc3\xbc""ber Gravity \xff\xfe bytes",
+      "3.14. 3.14 pi=3.14. v2.0.1.",
+      "... --- !!! ?? -- (( )) \"' ,,,",
+      "zxqv ZXQV zxqv plugh PLUGH",
+      "def fibonacci(n):\n    sequence = []\n\treturn sequence",
+      gravity->fact + " " + gravity->details[0],
+  };
+  synth::CorpusConfig config;
+  config.size = 40;
+  config.seed = 5;
+  for (const InstructionPair& pair :
+       synth::SynthCorpusGenerator(config).Generate().dataset) {
+    texts.push_back(pair.FullInstruction());
+    texts.push_back(pair.output);
+  }
+  for (const std::string& text : texts) {
+    const PreparedQuery query = model.Prepare(text);
+    EXPECT_EQ(query.lower, strings::Lower(text));
+    const QueryTally ref = ReferenceTally(model, text);
+    ASSERT_EQ(query.tally.total, ref.total) << text;
+    ASSERT_EQ(query.tally.docs.size(), ref.docs.size());
+    for (size_t d = 0; d < ref.docs.size(); ++d) {
+      EXPECT_EQ(query.tally.docs[d].matched, ref.docs[d].matched) << text;
+      EXPECT_EQ(query.tally.docs[d].count, ref.docs[d].count) << text;
+      EXPECT_EQ(query.tally.docs[d].longest, ref.docs[d].longest) << text;
+    }
+  }
+  // A stopword in capitals is still a stopword; unknown words count once.
+  EXPECT_EQ(model.Prepare("THE").tally.total, 0u);
+  EXPECT_EQ(model.Prepare("zxqv ZXQV zxqv").tally.total, 4u);
 }
 
 TEST(BackboneTest, FluencyNoiseDeterministicAndBounded) {

@@ -135,6 +135,56 @@ TEST(RecordStreamTest, JsonlTornTailStrictVsRecoverable) {
   std::remove(path.c_str());
 }
 
+TEST(RecordStreamTest, JsonlCorpusOverInputLimitIsResourceExhausted) {
+  const InstructionDataset ds = MakeDataset(5);
+  const std::string path = TempPath("coachlm_rs_limit.jsonl");
+  {
+    JsonlRecordWriter writer(path);
+    ASSERT_TRUE(WriteAllRecords(&writer, ds).ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  const size_t bytes = Slurp(path).size();
+  const json::ParseLimits saved = json::ParseLimits::Default();
+
+  json::ParseLimits tight = saved;
+  tight.max_input_bytes = bytes - 1;
+  json::ParseLimits::SetProcessDefault(tight);
+  const auto over = JsonlRecordReader::Open(path);
+  tight.max_input_bytes = bytes;
+  json::ParseLimits::SetProcessDefault(tight);
+  auto under = JsonlRecordReader::Open(path);
+  json::ParseLimits::SetProcessDefault(saved);
+
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  ASSERT_TRUE(under.ok());
+  auto loaded = ReadAllRecords(under->get());
+  ASSERT_TRUE(loaded.ok());
+  ASSERT_EQ(loaded->size(), ds.size());
+  for (size_t i = 0; i < ds.size(); ++i) EXPECT_EQ((*loaded)[i], ds[i]);
+  std::remove(path.c_str());
+}
+
+TEST(RecordStreamTest, JsonArrayCorpusOverInputLimitIsResourceExhausted) {
+  const InstructionDataset ds = MakeDataset(5);
+  const std::string path = TempPath("coachlm_rs_limit.json");
+  {
+    JsonArrayRecordWriter writer(path);
+    ASSERT_TRUE(WriteAllRecords(&writer, ds).ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+  const json::ParseLimits saved = json::ParseLimits::Default();
+  json::ParseLimits tight = saved;
+  tight.max_input_bytes = Slurp(path).size() - 1;
+  json::ParseLimits::SetProcessDefault(tight);
+  const auto over = JsonArrayRecordReader::Open(path);
+  json::ParseLimits::SetProcessDefault(saved);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(JsonArrayRecordReader::Open(path).ok());
+  std::remove(path.c_str());
+}
+
 TEST(CorpusIoTest, SniffsJsonArrayAndJsonl) {
   const InstructionDataset ds = MakeDataset(4);
   const std::string json_path = TempPath("coachlm_sniff.json");

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "text/tokenizer.h"
+
 namespace coachlm {
 namespace repair {
 namespace {
@@ -36,6 +41,50 @@ TEST(RepairTest, RemoveDoubledWords) {
   EXPECT_EQ(RemoveDoubledWords("no doubles here"), "no doubles here");
   // Single characters are never treated as doubles ("a a" could be valid).
   EXPECT_EQ(RemoveDoubledWords("a a b"), "a a b");
+}
+
+/// The copy-per-field formulation RemoveDoubledWords scans in place of:
+/// tokenize, then drop a field of two or more bytes equal to the last kept
+/// one.
+std::string ReferenceRemoveDoubledWords(const std::string& text) {
+  const std::vector<std::string> words = tokenizer::WhitespaceTokenize(text);
+  std::string out;
+  const std::string* prev = nullptr;
+  for (const std::string& word : words) {
+    if (prev != nullptr && word.size() > 1 && word == *prev) continue;
+    if (!out.empty()) out += ' ';
+    out += word;
+    prev = &word;
+  }
+  return out;
+}
+
+TEST(RepairTest, RemoveDoubledWordsAcrossWhitespaceKinds) {
+  const struct {
+    const char* text;
+    const char* expected;
+  } cases[] = {
+      // Newlines and tabs separate fields like spaces, and flatten.
+      {"the\nthe cat", "the cat"},
+      {"sat\tsat\tdown\n", "sat down"},
+      {"line one\n\nline line two", "line one line two"},
+      {" \t\n", ""},
+      {"", ""},
+      // One-character doubles are kept, whatever separates them.
+      {"a a a", "a a a"},
+      {"I\tI think", "I I think"},
+      {"x\n\nx", "x x"},
+      // Runs collapse to one; comparison is exact bytes.
+      {"go go go", "go"},
+      {"Hello hello", "Hello hello"},
+      {"end. end.", "end."},
+      {"  padded  padded  ", "padded"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(RemoveDoubledWords(c.text), c.expected) << c.text;
+    EXPECT_EQ(RemoveDoubledWords(c.text), ReferenceRemoveDoubledWords(c.text))
+        << c.text;
+  }
 }
 
 TEST(RepairTest, ReflowLists) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "text/lexicons.h"
 #include "text/string_util.h"
@@ -14,12 +16,8 @@ namespace similarity {
 namespace {
 
 TEST(SimilarityTest, ContentWordsDropStopwordsAndShortTokens) {
-  const auto words = ContentWords("The cat sat on a big mat.");
-  EXPECT_EQ(words.count("the"), 0u);
-  EXPECT_EQ(words.count("on"), 0u);
-  EXPECT_EQ(words.count("cat"), 1u);
-  EXPECT_EQ(words.count("mat"), 1u);
-  EXPECT_EQ(words.count("big"), 1u);
+  EXPECT_EQ(SortedContentWords("The cat sat on a big mat."),
+            (std::vector<std::string>{"big", "cat", "mat", "sat"}));
 }
 
 TEST(SimilarityTest, OverlapIdenticalIsOne) {
@@ -72,23 +70,47 @@ std::set<std::string> ReferenceContentWords(const std::string& text) {
   return words;
 }
 
+const std::vector<std::string>& EdgeTexts() {
+  static const std::vector<std::string> kTexts = {
+      "", "   ", "The cat sat on a big mat.", "(Hello), world!!",
+      "pi is 3.14. Really 3.14", "--dash-word-- \"quoted\" 'single'",
+      "def fibonacci(n):\n    a, b = 0, 1\n\treturn a",
+      "...!!! ??? -- -.", "v2.0. 12. x.y.z. e.g. U.S.A.",
+      "MIXED Case WORDS, repeated words words WORDS",
+      "tabs\tand\nnewlines\r\nand  spaces", "a an the of is",
+      "THE Caf\xc3\xa9 caf\xc3\xa9 \xff\xfe words"};
+  return kTexts;
+}
+
 TEST(SimilarityTest, ContentWordsMatchTokenizerDefinition) {
-  for (const std::string text :
-       {"", "   ", "The cat sat on a big mat.", "(Hello), world!!",
-        "pi is 3.14. Really 3.14", "--dash-word-- \"quoted\" 'single'",
-        "def fibonacci(n):\n    a, b = 0, 1\n\treturn a",
-        "...!!! ??? -- -.", "v2.0. 12. x.y.z. e.g. U.S.A.",
-        "MIXED Case WORDS, repeated words words WORDS",
-        "tabs\tand\nnewlines\r\nand  spaces", "a an the of is"}) {
+  for (const std::string& text : EdgeTexts()) {
     const std::set<std::string> expected = ReferenceContentWords(text);
-    const auto unordered = ContentWords(text);
-    EXPECT_EQ(std::set<std::string>(unordered.begin(), unordered.end()),
-              expected)
-        << text;
-    const std::vector<std::string> sorted = SortedContentWords(text);
     EXPECT_EQ(std::vector<std::string>(expected.begin(), expected.end()),
-              sorted)
+              SortedContentWords(text))
         << text;
+  }
+}
+
+TEST(SimilarityTest, OverlapAndContainmentMatchSetDefinition) {
+  // The merge-counted ratios equal the set-defined ones bit for bit.
+  for (const std::string& a : EdgeTexts()) {
+    for (const std::string& b : EdgeTexts()) {
+      const std::set<std::string> wa = ReferenceContentWords(a);
+      const std::set<std::string> wb = ReferenceContentWords(b);
+      size_t common = 0;
+      for (const std::string& w : wa) common += wb.count(w);
+      const double overlap =
+          wa.empty() || wb.empty()
+              ? 0.0
+              : static_cast<double>(common) /
+                    static_cast<double>(wa.size() + wb.size() - common);
+      const double containment =
+          wa.empty() ? 0.0
+                     : static_cast<double>(common) /
+                           static_cast<double>(wa.size());
+      EXPECT_EQ(ContentOverlap(a, b), overlap) << a << " | " << b;
+      EXPECT_EQ(Containment(a, b), containment) << a << " | " << b;
+    }
   }
 }
 

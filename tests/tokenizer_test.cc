@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 namespace coachlm {
 namespace tokenizer {
 namespace {
@@ -70,6 +73,31 @@ TEST(TokenizerTest, SplitSentencesKeepsDecimals) {
 TEST(TokenizerTest, SplitSentencesEmpty) {
   EXPECT_TRUE(SplitSentences("").empty());
   EXPECT_TRUE(SplitSentences("   ").empty());
+}
+
+TEST(TokenizerTest, WordCoreIsNeverAllPunctuation) {
+  // Every field of up to five bytes over an alphabet of punctuation (the
+  // kept hyphen, the numeric period, brackets), a digit and a letter: a
+  // non-empty core always keeps a non-punctuation byte, which is why the
+  // content-word scanner needs no all-punctuation check.
+  const std::string alphabet = "-.!(')1a";
+  std::string field;
+  size_t cores = 0;
+  const auto visit = [&](auto&& self, size_t depth) -> void {
+    const std::string_view core = WordCore(field);
+    if (!core.empty()) {
+      ++cores;
+      EXPECT_FALSE(IsPunctuation(core)) << field;
+    }
+    if (depth == 5) return;
+    for (const char c : alphabet) {
+      field.push_back(c);
+      self(self, depth + 1);
+      field.pop_back();
+    }
+  };
+  visit(visit, 0);
+  EXPECT_GT(cores, 0u);
 }
 
 }  // namespace
