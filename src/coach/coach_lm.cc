@@ -3,7 +3,6 @@
 #include "coach/verifier.h"
 
 #include <cctype>
-#include <optional>
 
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -235,16 +234,9 @@ void CoachLm::ApplyResponseRepairs(std::string* text_out) const {
 std::string CoachLm::ReviseResponse(const InstructionPair& pair,
                                     const std::string& new_instruction,
                                     Rng* rng) const {
-  // The task context the backbone retrieves for, scanned at most once per
-  // pair: prepared on the first rewrite or expansion, which most pairs
-  // never reach.
-  std::optional<lm::PreparedQuery> prepared;
-  const auto context = [&]() -> const lm::PreparedQuery& {
-    if (!prepared.has_value()) {
-      prepared = backbone_->Prepare(new_instruction + "\n" + pair.input);
-    }
-    return *prepared;
-  };
+  // The task context the backbone retrieves for, scanned once per pair.
+  const lm::PreparedQuery context =
+      backbone_->Prepare(new_instruction + "\n" + pair.input);
   std::string text = pair.output;
 
   // Learned rewrite policy: weakly related (or empty) responses are
@@ -258,7 +250,7 @@ std::string CoachLm::ReviseResponse(const InstructionPair& pair,
       (strings::Trim(text).empty() ||
        relatedness < compiled_.rewrite_overlap_threshold());
   if (rewrite) {
-    const std::string fresh = ComposeRewrite(pair, context(), rng);
+    const std::string fresh = ComposeRewrite(pair, context, rng);
     if (!fresh.empty()) {
       text = fresh;
     }
@@ -273,7 +265,7 @@ std::string CoachLm::ReviseResponse(const InstructionPair& pair,
   while (added < compiled_.expansion_budget() &&
          static_cast<double>(strings::CountWords(text)) + 10.0 <
              target_words) {
-    const std::string expansion = ComposeExpansion(context(), text, 1, rng);
+    const std::string expansion = ComposeExpansion(context, text, 1, rng);
     if (strings::Trim(expansion).empty()) break;
     text += expansion;
     ++added;

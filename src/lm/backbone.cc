@@ -44,9 +44,6 @@ BackboneProfile ChatGlm26B() {
 
 namespace {
 
-/// The lexicon value marking a stopword (word ids count up from 0).
-constexpr uint32_t kStopword = WordTable::kAbsent - 1;
-
 /// One memory document before indexing: the retained sentences plus the
 /// association key (the sorted content words of the whole source document).
 struct SourceDoc {
@@ -98,14 +95,11 @@ BackboneModel::BackboneModel(BackboneProfile profile)
                              profile_.knowledge_coverage, &rng);
     if (!doc.sentences.empty()) docs.push_back(std::move(doc));
   }
-  for (const std::string& stopword : lexicons::Stopwords()) {
-    lexicon_.Insert(stopword, kStopword);
-  }
   mask_blocks_ = (docs.size() + 63) / 64;
   for (size_t d = 0; d < docs.size(); ++d) {
     for (const std::string& word : docs[d].key_words) {
       const uint32_t next_id = static_cast<uint32_t>(key_lengths_.size());
-      const uint32_t id = lexicon_.Insert(word, next_id);
+      const uint32_t id = key_ids_.try_emplace(word, next_id).first->second;
       if (id == next_id) {
         key_lengths_.push_back(static_cast<uint32_t>(word.size()));
         doc_masks_.resize(doc_masks_.size() + mask_blocks_, 0);
@@ -127,12 +121,12 @@ QueryTally BackboneModel::Tally(std::string_view lower) const {
   std::vector<uint32_t> ids;
   std::vector<std::string_view> unknown;
   similarity::ForEachCandidateWord(lower, [&](std::string_view word) {
-    const uint32_t value = lexicon_.Find(word);
-    if (value == kStopword) return;
-    if (value == WordTable::kAbsent) {
+    // Key words are content words, so a key hit needs no stopword probe.
+    const auto key = key_ids_.find(word);
+    if (key != key_ids_.end()) {
+      ids.push_back(key->second);
+    } else if (!lexicons::Stopwords().contains(word)) {
       unknown.push_back(word);
-    } else {
-      ids.push_back(value);
     }
   });
   std::sort(ids.begin(), ids.end());

@@ -4,11 +4,12 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
+#include "text/lexicons.h"
 #include "text/ngram_lm.h"
-#include "text/word_table.h"
 
 namespace coachlm {
 namespace lm {
@@ -86,11 +87,11 @@ struct PreparedQuery {
 /// provides fluency scoring.
 ///
 /// The keys are stored inverted: each key word is interned once to a word
-/// id with a bitmask of the documents whose key holds it. One flat lexicon
-/// over the stopwords and the key words answers, for each word of a query,
-/// "stopword", "word id" or "unknown", so scoring a query against every
-/// document costs one scan of its lower-cased bytes and one probe per
-/// word.
+/// id with a bitmask of the documents whose key holds it. Each word of a
+/// query is looked up by view in the key-word map and, when it is not a
+/// key word, in the stopword set, so scoring a query against every
+/// document costs one scan of its lower-cased bytes and builds no string
+/// per word.
 class BackboneModel {
  public:
   explicit BackboneModel(BackboneProfile profile);
@@ -129,8 +130,8 @@ class BackboneModel {
   size_t num_docs() const { return doc_sentences_.size(); }
 
  private:
-  /// Scans the lower-cased text \p lower once: each content word is
-  /// probed in the lexicon, known words are de-duplicated by id and
+  /// Scans the lower-cased text \p lower once: each word is looked up as
+  /// a key word, then as a stopword; key words are de-duplicated by id and
   /// unknown ones by their bytes (they still count toward `total`), and
   /// the known ids are tallied against every document through the word
   /// index.
@@ -144,8 +145,10 @@ class BackboneModel {
   std::vector<std::vector<std::string>> doc_sentences_;
   /// doc_sentences_, lower-cased once for the retrieval presence checks.
   std::vector<std::vector<std::string>> doc_sentences_lower_;
-  /// Stopwords (value kStopword) and key words (value = word id).
-  WordTable lexicon_;
+  /// Key word -> word id, probed by view.
+  std::unordered_map<std::string, uint32_t, lexicons::WordHash,
+                     std::equal_to<>>
+      key_ids_;
   /// Byte length of each key word, by word id.
   std::vector<uint32_t> key_lengths_;
   /// `mask_blocks_` words per word id; bit d set when doc d's key holds

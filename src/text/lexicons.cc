@@ -1,12 +1,10 @@
 #include "text/lexicons.h"
 
-#include "text/word_table.h"
-
 namespace coachlm {
 namespace lexicons {
 
-const std::unordered_set<std::string>& Stopwords() {
-  static const std::unordered_set<std::string> kSet = {
+const WordSet& Stopwords() {
+  static const WordSet kSet = {
       "a",    "an",   "the",  "and",  "or",   "but",  "of",    "to",
       "in",   "on",   "at",   "by",   "for",  "with", "about", "as",
       "is",   "are",  "was",  "were", "be",   "been", "being", "it",
@@ -19,15 +17,6 @@ const std::unordered_set<std::string>& Stopwords() {
       "some", "such", "only", "own",  "so",   "than", "too",   "very",
   };
   return kSet;
-}
-
-bool IsStopword(std::string_view word) {
-  static const WordTable kTable = [] {
-    WordTable table;
-    for (const std::string& stopword : Stopwords()) table.Insert(stopword, 0);
-    return table;
-  }();
-  return kTable.Find(word) != WordTable::kAbsent;
 }
 
 const std::vector<std::string>& PolitenessMarkers() {

@@ -1,6 +1,7 @@
 #ifndef COACHLM_TEXT_LEXICONS_H_
 #define COACHLM_TEXT_LEXICONS_H_
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -18,12 +19,21 @@ namespace coachlm {
 /// honest.
 namespace lexicons {
 
-/// Common English stopwords (lower-case).
-const std::unordered_set<std::string>& Stopwords();
+/// Hashes std::string and std::string_view alike, so a string-keyed set
+/// or map built with it (and std::equal_to<>) can be probed by view: a
+/// scanner looks up a field of a text without copying it.
+struct WordHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view word) const {
+    return std::hash<std::string_view>{}(word);
+  }
+};
 
-/// True when \p word is one of Stopwords(); probes a flat table by view,
-/// so a scanner can test a field without copying it.
-bool IsStopword(std::string_view word);
+/// A set of words that answers lookups by std::string_view.
+using WordSet = std::unordered_set<std::string, WordHash, std::equal_to<>>;
+
+/// Common English stopwords (lower-case).
+const WordSet& Stopwords();
 
 /// Words/phrases signalling a humanized, empathetic tone.
 const std::vector<std::string>& PolitenessMarkers();

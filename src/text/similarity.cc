@@ -36,7 +36,7 @@ size_t CountCommon(const std::vector<std::string_view>& a,
 std::vector<std::string_view> SortedContentWordViews(std::string_view lower) {
   std::vector<std::string_view> words;
   ForEachCandidateWord(lower, [&words](std::string_view word) {
-    if (!lexicons::IsStopword(word)) words.push_back(word);
+    if (!lexicons::Stopwords().contains(word)) words.push_back(word);
   });
   std::sort(words.begin(), words.end());
   words.erase(std::unique(words.begin(), words.end()), words.end());
