@@ -1,15 +1,20 @@
 // Micro benchmarks of the text substrate: tokenization, edit distance,
 // alignment, and similarity — the hot loops of alpha-selection (Section
-// II-F2) and rule extraction.
+// II-F2) and rule extraction — plus the byte scanners every revision runs
+// over each text (lower-casing, word counting, sentence capitalization).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
+#include "synth/generator.h"
 #include "synth/topic_bank.h"
 #include "text/alignment.h"
 #include "text/edit_distance.h"
+#include "text/repair.h"
 #include "text/similarity.h"
+#include "text/string_util.h"
 #include "text/tokenizer.h"
 
 namespace coachlm {
@@ -23,6 +28,66 @@ std::string LongText() {
   }
   return text;
 }
+
+/// Every instruction, input and response of a 500-pair seed-42 corpus:
+/// the text sizes and byte mix the revise path scans.
+const std::vector<std::string>& CorpusTexts() {
+  static const std::vector<std::string> texts = [] {
+    synth::CorpusConfig config;
+    config.size = 500;
+    const synth::SynthCorpus corpus =
+        synth::SynthCorpusGenerator(config).Generate();
+    std::vector<std::string> out;
+    for (size_t i = 0; i < corpus.dataset.size(); ++i) {
+      const InstructionPair& pair = corpus.dataset[i];
+      for (const std::string* text :
+           {&pair.instruction, &pair.input, &pair.output}) {
+        if (!text->empty()) out.push_back(*text);
+      }
+    }
+    return out;
+  }();
+  return texts;
+}
+
+/// Runs \p scan over every corpus text per iteration, reporting bytes/s.
+template <typename Scan>
+void ScanCorpus(benchmark::State& state, Scan scan) {
+  const std::vector<std::string>& texts = CorpusTexts();
+  int64_t bytes = 0;
+  for (const std::string& text : texts) {
+    bytes += static_cast<int64_t>(text.size());
+  }
+  for (auto _ : state) {
+    for (const std::string& text : texts) {
+      benchmark::DoNotOptimize(scan(text));
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * bytes);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() *
+                                               texts.size()));
+}
+
+void BM_Lower(benchmark::State& state) {
+  ScanCorpus(state, [](const std::string& text) {
+    return strings::Lower(text);
+  });
+}
+BENCHMARK(BM_Lower);
+
+void BM_CountWords(benchmark::State& state) {
+  ScanCorpus(state, [](const std::string& text) {
+    return strings::CountWords(text);
+  });
+}
+BENCHMARK(BM_CountWords);
+
+void BM_CapitalizeSentences(benchmark::State& state) {
+  ScanCorpus(state, [](const std::string& text) {
+    return repair::CapitalizeSentences(text);
+  });
+}
+BENCHMARK(BM_CapitalizeSentences);
 
 void BM_WordTokenize(benchmark::State& state) {
   const std::string text = LongText();

@@ -2,13 +2,12 @@
 
 #include "coach/verifier.h"
 
-#include <cctype>
-
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "json/jsonl.h"
 #include "lm/pair_text.h"
 #include "lm/rule_extractor.h"
+#include "text/ascii.h"
 #include "text/repair.h"
 #include "text/similarity.h"
 #include "text/string_util.h"
@@ -77,6 +76,19 @@ std::string GuessSubject(const InstructionPair& pair) {
 
 }  // namespace
 
+double ResponseRelatedness(const lm::BackboneModel& backbone,
+                           const InstructionPair& pair,
+                           const std::string& revised_instruction,
+                           const lm::PreparedQuery& context) {
+  // Equal after lower-casing means the two texts split into the same
+  // fields, and the context's "\n" before an empty input adds none, so
+  // the context's tally is the original full instruction's.
+  if (strings::EqualsIgnoreCase(revised_instruction, pair.instruction)) {
+    return backbone.TopicalAgreement(context, pair.output);
+  }
+  return backbone.TopicalAgreement(pair.FullInstruction(), pair.output);
+}
+
 CoachLm::CoachLm(CoachConfig config, lm::RuleStore rules)
     : config_(std::move(config)),
       rules_(std::move(rules)),
@@ -112,7 +124,7 @@ std::string CoachLm::ReviseInstruction(const InstructionPair& pair,
     }
   }
   if (compiled_.capitalize()) {
-    text = repair::CapitalizeSentences(text);
+    text = repair::CapitalizeSentences(std::move(text));
   }
   // Learned context enrichment for bare instructions.
   if (strings::CountWords(text) < 12 &&
@@ -150,12 +162,8 @@ std::string CoachLm::ComposeExpansion(const lm::PreparedQuery& context,
         marker += " ";
       }
       // Decapitalize the retrieved sentence after a marker.
-      if (!line.empty()) {
-        line[0] = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(line[0])));
-      }
-      line = marker + line;
-      line = repair::CapitalizeSentences(line);
+      if (!line.empty()) line[0] = ascii::ToLower(line[0]);
+      line = repair::CapitalizeSentences(marker + line);
     }
     out += " " + line;
   }
@@ -226,7 +234,7 @@ void CoachLm::ApplyResponseRepairs(std::string* text_out) const {
     text = repair::RemoveDoubledWords(text);
   }
   if (compiled_.capitalize()) {
-    text = repair::CapitalizeSentences(text);
+    text = repair::CapitalizeSentences(std::move(text));
   }
   EmitRuleFireMetrics(fired);
 }
@@ -244,10 +252,10 @@ std::string CoachLm::ReviseResponse(const InstructionPair& pair,
   // backbone's associative agreement — the same feature the trainer used
   // to estimate the threshold.
   const double relatedness =
-      backbone_->TopicalAgreement(pair.FullInstruction(), text);
+      ResponseRelatedness(*backbone_, pair, new_instruction, context);
   const bool rewrite =
       compiled_.rewrite_overlap_threshold() >= 0.0 &&
-      (strings::Trim(text).empty() ||
+      (strings::IsBlank(text) ||
        relatedness < compiled_.rewrite_overlap_threshold());
   if (rewrite) {
     const std::string fresh = ComposeRewrite(pair, context, rng);
@@ -261,12 +269,15 @@ std::string CoachLm::ReviseResponse(const InstructionPair& pair,
   // Learned expansion: grow thin responses toward the expert target
   // length, using backbone knowledge for content.
   const double target_words = compiled_.mean_target_response_words();
+  size_t words = strings::CountWords(text);
   size_t added = 0;
   while (added < compiled_.expansion_budget() &&
-         static_cast<double>(strings::CountWords(text)) + 10.0 <
-             target_words) {
+         static_cast<double>(words) + 10.0 < target_words) {
     const std::string expansion = ComposeExpansion(context, text, 1, rng);
-    if (strings::Trim(expansion).empty()) break;
+    if (strings::IsBlank(expansion)) break;
+    // ComposeExpansion starts every sentence with a space, so the appended
+    // words never join the response's last word and the counts add.
+    words += strings::CountWords(expansion);
     text += expansion;
     ++added;
   }
@@ -310,21 +321,18 @@ std::string CoachLm::ReviseToText(const InstructionPair& pair,
 InstructionPair CoachLm::Revise(const InstructionPair& pair, Rng* rng,
                                 RevisionPassStats* stats) const {
   if (stats != nullptr) ++stats->total;
-  const std::string raw = ReviseToText(pair, rng);
+  std::string text = ReviseToText(pair, rng);
   // Post-processing (Section III-B1): strip invalid characters and
   // repeated strings, then parse; fall back to the original when the
   // output is not a valid instruction pair.
-  std::string cleaned;
-  cleaned.reserve(raw.size());
-  for (char c : raw) {
-    if (static_cast<unsigned char>(c) >= 0x20 || c == '\n' || c == '\t') {
-      cleaned += c;
-    }
+  std::erase_if(text, [](char c) {
+    return static_cast<unsigned char>(c) < 0x20 && c != '\n' && c != '\t';
+  });
+  if (strings::Contains(text, "@@ ")) {
+    text = strings::ReplaceAll(std::move(text), "@@ ", "");
   }
-  cleaned = strings::ReplaceAll(cleaned, "@@ ", "");
-  cleaned = strings::Trim(cleaned);
-  auto parsed = lm::DeserializePair(cleaned);
-  if (!parsed.ok() || strings::Trim(parsed->output).empty()) {
+  auto parsed = lm::DeserializePair(strings::TrimView(text));
+  if (!parsed.ok() || strings::IsBlank(parsed->output)) {
     if (stats != nullptr) ++stats->invalid_replaced;
     return pair;
   }

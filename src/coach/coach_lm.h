@@ -52,6 +52,18 @@ struct RevisionPassStats {
   }
 };
 
+/// Relatedness of \p pair's response to its original full instruction:
+/// backbone.TopicalAgreement(pair.FullInstruction(), pair.output), the
+/// feature the trainer fit the learned rewrite threshold on. \p context
+/// is the revision's task context, prepared from
+/// `revised_instruction + "\n" + pair.input`; when \p revised_instruction
+/// equals the original after ASCII lower-casing, its tally is the
+/// original's and is reused instead of tallying the original again.
+double ResponseRelatedness(const lm::BackboneModel& backbone,
+                           const InstructionPair& pair,
+                           const std::string& revised_instruction,
+                           const lm::PreparedQuery& context);
+
 /// \brief The trained coach language model θ_c.
 ///
 /// Holds the backbone (pre-trained knowledge + fluency) and the rule store

@@ -21,7 +21,7 @@ std::optional<std::string> ExpansionVerifier::Verify(
   // Fluency self-consistency: re-decode through the backbone's surface
   // competence and keep whichever form the fluency LM prefers.
   std::string repaired = repair::FixKnownSpelling(sentence);
-  repaired = repair::CapitalizeSentences(repaired);
+  repaired = repair::CapitalizeSentences(std::move(repaired));
   if (repaired != sentence) {
     const NgramLm& fluency = backbone_->fluency_lm();
     if (fluency.Perplexity(repaired) < fluency.Perplexity(sentence)) {

@@ -14,8 +14,7 @@ size_t InstructionPair::TotalChars() const {
 }
 
 bool InstructionPair::IsWellFormed() const {
-  return !strings::Trim(instruction).empty() &&
-         !strings::Trim(output).empty();
+  return !strings::IsBlank(instruction) && !strings::IsBlank(output);
 }
 
 json::Value InstructionPair::ToJson() const {

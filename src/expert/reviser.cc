@@ -167,7 +167,8 @@ void ExpertReviser::RepairInstruction(
   }
   if (readability < 0.999) {
     pair->instruction = repair::FixKnownSpelling(pair->instruction);
-    pair->instruction = repair::CapitalizeSentences(pair->instruction);
+    pair->instruction =
+        repair::CapitalizeSentences(std::move(pair->instruction));
     pair->instruction = repair::RemoveDoubledWords(pair->instruction);
     if (!type->has_value()) {
       *type = InstructionRevisionType::kAdjustReadability;
@@ -213,7 +214,7 @@ void ExpertReviser::RepairResponse(
     *type = ResponseRevisionType::kOther;
     return;
   }
-  if (strings::Trim(pair->output).empty() || relevance < 0.6) {
+  if (strings::IsBlank(pair->output) || relevance < 0.6) {
     // Empty or off-topic: rewrite wholesale.
     pair->output = engine_->RebuildResponse(*pair, rich, rng);
     *type = ResponseRevisionType::kRewriteContent;
@@ -247,7 +248,7 @@ void ExpertReviser::RepairResponse(
       }
     }
     pair->output = repair::FixKnownSpelling(pair->output);
-    pair->output = repair::CapitalizeSentences(pair->output);
+    pair->output = repair::CapitalizeSentences(std::move(pair->output));
     if (!strings::Contains(pair->output, "\n")) {
       pair->output = repair::RemoveDoubledWords(pair->output);
     }

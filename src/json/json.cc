@@ -1,9 +1,10 @@
 #include "json/json.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+
+#include "text/ascii.h"
 
 namespace coachlm {
 namespace json {
@@ -433,9 +434,8 @@ class Parser {
     const char* begin = p_;
     if (p_ != end_ && (*p_ == '-' || *p_ == '+')) ++p_;
     bool any = false;
-    while (p_ != end_ && (std::isdigit(static_cast<unsigned char>(*p_)) ||
-                          *p_ == '.' || *p_ == 'e' || *p_ == 'E' ||
-                          *p_ == '-' || *p_ == '+')) {
+    while (p_ != end_ && (ascii::IsDigit(*p_) || *p_ == '.' || *p_ == 'e' ||
+                          *p_ == 'E' || *p_ == '-' || *p_ == '+')) {
       any = true;
       ++p_;
     }

@@ -5,6 +5,7 @@
 
 #include "synth/code_bank.h"
 #include "synth/topic_bank.h"
+#include "text/ascii.h"
 #include "text/lexicons.h"
 #include "text/similarity.h"
 #include "text/string_util.h"
@@ -240,8 +241,8 @@ std::string BackboneModel::ApplyFluencyNoise(const std::string& sentence,
     }
   }
   for (char& c : noisy) {
-    if (std::isalpha(static_cast<unsigned char>(c))) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (ascii::IsAlpha(c)) {
+      c = ascii::ToLower(c);
       break;
     }
   }

@@ -9,6 +9,9 @@ namespace {
 constexpr char kInstructionHeader[] = "Instruction: ";
 constexpr char kInputHeader[] = "Input: ";
 constexpr char kResponseHeader[] = "Response: ";
+/// The input and response headers as they follow a line break.
+constexpr char kInputLine[] = "\nInput: ";
+constexpr char kResponseLine[] = "\nResponse: ";
 
 }  // namespace
 
@@ -19,22 +22,22 @@ std::string SerializePair(const InstructionPair& pair) {
   return out;
 }
 
-Result<InstructionPair> DeserializePair(const std::string& text) {
+Result<InstructionPair> DeserializePair(std::string_view text) {
   const size_t instruction_at = text.find(kInstructionHeader);
-  const size_t input_at = text.find("\n" + std::string(kInputHeader));
-  const size_t response_at = text.find("\n" + std::string(kResponseHeader));
+  const size_t input_at = text.find(kInputLine);
+  const size_t response_at = text.find(kResponseLine);
   if (instruction_at != 0 || input_at == std::string::npos ||
       response_at == std::string::npos || response_at < input_at) {
     return Status::ParseError("not a serialized instruction pair");
   }
   InstructionPair pair;
   const size_t instruction_begin = sizeof(kInstructionHeader) - 1;
-  pair.instruction = text.substr(instruction_begin,
-                                 input_at - instruction_begin);
-  const size_t input_begin = input_at + 1 + sizeof(kInputHeader) - 1;
+  pair.instruction =
+      text.substr(instruction_begin, input_at - instruction_begin);
+  const size_t input_begin = input_at + sizeof(kInputLine) - 1;
   pair.input = text.substr(input_begin, response_at - input_begin);
-  pair.output = text.substr(response_at + 1 + sizeof(kResponseHeader) - 1);
-  if (strings::Trim(pair.instruction).empty()) {
+  pair.output = text.substr(response_at + sizeof(kResponseLine) - 1);
+  if (strings::IsBlank(pair.instruction)) {
     return Status::ParseError("serialized pair has an empty instruction");
   }
   return pair;

@@ -2,6 +2,7 @@
 #define COACHLM_LM_PAIR_TEXT_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "data/instruction_pair.h"
@@ -26,7 +27,7 @@ std::string SerializePair(const InstructionPair& pair);
 /// ParseError when the "Instruction:"/"Response:" section markers are
 /// missing — the condition that triggers the post-processor's
 /// replace-with-original path (Section III-B1).
-Result<InstructionPair> DeserializePair(const std::string& text);
+Result<InstructionPair> DeserializePair(std::string_view text);
 
 /// \brief Builds the coach-tuning sample x_c of Fig. 3 from (x, x_r).
 InstructionPair MakeCoachSample(const InstructionPair& original,

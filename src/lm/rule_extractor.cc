@@ -1,9 +1,9 @@
 #include "lm/rule_extractor.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "text/alignment.h"
+#include "text/ascii.h"
 #include "text/edit_distance.h"
 #include "text/lexicons.h"
 #include "text/similarity.h"
@@ -58,8 +58,7 @@ bool LooksLikeListToken(const std::string& token) {
   if (token == "-") return true;
   if (token.empty()) return false;
   // "1.", "2.", ... or bare digits preceding a "." token.
-  return std::isdigit(static_cast<unsigned char>(token.front())) != 0 &&
-         token.size() <= 2;
+  return ascii::IsDigit(token.front()) && token.size() <= 2;
 }
 
 }  // namespace

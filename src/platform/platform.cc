@@ -124,7 +124,7 @@ InstructionDataset DataPlatform::ParseWithRuleScripts(
               const std::string body = user_case.raw_log.substr(newline + 1);
               auto parsed = lm::DeserializePair(body);
               if (!parsed.ok()) return parsed.status();
-              if (strings::Trim(parsed->instruction).empty()) {
+              if (strings::IsBlank(parsed->instruction)) {
                 return Status::ParseError("parsed pair has empty instruction");
               }
               InstructionPair pair = std::move(parsed).ValueOrDie();

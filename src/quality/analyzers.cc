@@ -1,13 +1,13 @@
 #include "quality/analyzers.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <unordered_set>
 
 #include "synth/arith.h"
 #include "synth/code_bank.h"
 #include "synth/topic_bank.h"
+#include "text/ascii.h"
 #include "text/lexicons.h"
 #include "text/similarity.h"
 #include "text/string_util.h"
@@ -25,8 +25,7 @@ namespace {
 size_t CountMisspellings(const std::string& text) {
   const std::string lower = strings::Lower(text);
   auto is_alpha = [&lower](size_t i) {
-    return i < lower.size() &&
-           std::isalpha(static_cast<unsigned char>(lower[i])) != 0;
+    return i < lower.size() && ascii::IsAlpha(lower[i]);
   };
   size_t count = 0;
   // COACHLM_LINT_ALLOW(determinism-unordered-serialization): order-insensitive count; the '+=' only advances this iteration's scan cursor.
@@ -49,16 +48,15 @@ size_t CountDecapitalizedSentences(const std::string& text) {
   size_t count = 0;
   for (const std::string& sentence : tokenizer::SplitSentences(text)) {
     for (char c : sentence) {
-      if (std::isalpha(static_cast<unsigned char>(c))) {
-        if (std::islower(static_cast<unsigned char>(c))) ++count;
+      if (ascii::IsAlpha(c)) {
+        if (ascii::IsLower(c)) ++count;
         break;
       }
-      if (!std::isspace(static_cast<unsigned char>(c)) && c != '"' &&
-          c != '\'' && c != '(' && c != '-' && c != '[' &&
-          !std::isdigit(static_cast<unsigned char>(c))) {
+      if (!ascii::IsSpace(c) && c != '"' && c != '\'' && c != '(' &&
+          c != '-' && c != '[' && !ascii::IsDigit(c)) {
         break;
       }
-      if (std::isdigit(static_cast<unsigned char>(c))) break;  // list items
+      if (ascii::IsDigit(c)) break;  // list items
     }
   }
   return count;
@@ -184,7 +182,7 @@ bool IsShortFormCategory(Category category) {
 
 double InstructionReadability(const InstructionPair& pair) {
   const std::string& text = pair.instruction;
-  if (strings::Trim(text).empty()) return 0.0;
+  if (strings::IsBlank(text)) return 0.0;
   double score = 1.0;
   score -= 0.30 * static_cast<double>(CountMisspellings(text));
   score -= 0.25 * static_cast<double>(CountDecapitalizedSentences(text));
@@ -249,7 +247,7 @@ double Safety(const InstructionPair& pair) {
 }
 
 double Correctness(const InstructionPair& pair) {
-  if (strings::Trim(pair.output).empty()) return 0.0;
+  if (strings::IsBlank(pair.output)) return 0.0;
   double score = 1.0;
   // Knowledge check: a corrupted fact in the response is a factual error.
   for (const synth::Topic& topic : synth::Topics()) {
@@ -272,7 +270,7 @@ double Correctness(const InstructionPair& pair) {
 }
 
 double Relevance(const InstructionPair& pair) {
-  if (strings::Trim(pair.output).empty()) return 0.0;
+  if (strings::IsBlank(pair.output)) return 0.0;
   const std::string full = pair.FullInstruction();
   // Subject check: a knowledgeable rater recognizes whether the response
   // speaks about the subject the instruction names — even when the
@@ -339,10 +337,10 @@ double Comprehensiveness(const InstructionPair& pair) {
 }
 
 double ResponseReadability(const InstructionPair& pair) {
-  if (strings::Trim(pair.output).empty()) return 0.0;
+  if (strings::IsBlank(pair.output)) return 0.0;
   // Code keeps its own spacing and casing; judge the prose around it.
   const std::string text = StripCodeFences(pair.output);
-  if (strings::Trim(text).empty()) return 1.0;  // pure code block
+  if (strings::IsBlank(text)) return 1.0;  // pure code block
   double score = 1.0;
   score -= 0.25 * static_cast<double>(CountMisspellings(text));
   // Verse and code legitimately start lines in lower case.

@@ -1,10 +1,10 @@
 #include "serve/http.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 
 #include "json/json.h"
+#include "text/ascii.h"
 
 namespace coachlm {
 namespace serve {
@@ -13,9 +13,7 @@ namespace {
 const std::string kEmpty;
 
 std::string ToLower(std::string text) {
-  std::transform(text.begin(), text.end(), text.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
+  for (char& c : text) c = ascii::ToLower(c);
   return text;
 }
 

@@ -1,6 +1,6 @@
 #include "synth/arith.h"
 
-#include <cctype>
+#include "text/ascii.h"
 
 namespace coachlm {
 namespace synth {
@@ -11,7 +11,7 @@ std::optional<int64_t> ParseInt(const std::string& text, size_t* i) {
   size_t j = *i;
   int64_t value = 0;
   bool any = false;
-  while (j < text.size() && std::isdigit(static_cast<unsigned char>(text[j]))) {
+  while (j < text.size() && ascii::IsDigit(text[j])) {
     value = value * 10 + (text[j] - '0');
     any = true;
     ++j;
@@ -48,9 +48,8 @@ std::string ArithProblem::Expression() const {
 
 std::optional<ArithProblem> ParseArithProblem(const std::string& text) {
   for (size_t i = 0; i < text.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(text[i]))) continue;
-    if (i > 0 && !std::isspace(static_cast<unsigned char>(text[i - 1])) &&
-        text[i - 1] != '(') {
+    if (!ascii::IsDigit(text[i])) continue;
+    if (i > 0 && !ascii::IsSpace(text[i - 1]) && text[i - 1] != '(') {
       continue;  // avoid matching digits inside identifiers like "covid19"
     }
     size_t j = i;

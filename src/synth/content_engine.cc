@@ -1,9 +1,9 @@
 #include "synth/content_engine.h"
 
 #include <algorithm>
-#include <cctype>
 
 #include "synth/arith.h"
+#include "text/ascii.h"
 #include "text/lexicons.h"
 #include "text/string_util.h"
 #include "text/tokenizer.h"
@@ -45,8 +45,8 @@ std::string FixSpelling(const std::string& text) {
 /// Capitalize() inverts exactly).
 std::string Decapitalize(std::string s) {
   for (char& c : s) {
-    if (std::isalpha(static_cast<unsigned char>(c))) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (ascii::IsAlpha(c)) {
+      c = ascii::ToLower(c);
       break;
     }
   }

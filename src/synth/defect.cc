@@ -1,9 +1,9 @@
 #include "synth/defect.h"
 
 #include <array>
-#include <cctype>
 
 #include "synth/arith.h"
+#include "text/ascii.h"
 
 #include "text/lexicons.h"
 #include "text/string_util.h"
@@ -38,8 +38,8 @@ std::string InjectSpelling(const std::string& text, size_t max_words) {
 
 std::string Decap(std::string s) {
   for (char& c : s) {
-    if (std::isalpha(static_cast<unsigned char>(c))) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (ascii::IsAlpha(c)) {
+      c = ascii::ToLower(c);
       break;
     }
   }

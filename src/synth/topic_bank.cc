@@ -1,6 +1,6 @@
 #include "synth/topic_bank.h"
 
-#include <cctype>
+#include "text/string_util.h"
 
 namespace coachlm {
 namespace synth {
@@ -496,10 +496,7 @@ const std::vector<Topic>& Topics() {
 }
 
 const Topic* FindTopicIn(const std::string& text) {
-  std::string lower = text;
-  for (char& c : lower) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  const std::string lower = strings::Lower(text);
   for (const Topic& topic : Topics()) {
     if (lower.find(topic.name) != std::string::npos) return &topic;
   }
@@ -509,16 +506,9 @@ const Topic* FindTopicIn(const std::string& text) {
 bool TopicOwnsText(const Topic& topic, const std::string& text) {
   // Case-insensitive: revised text often carries a decapitalized copy of
   // a sentence after a discourse marker ("For example, the Calvin ...").
-  std::string lower = text;
-  for (char& c : lower) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
+  const std::string lower = strings::Lower(text);
   auto contains_ci = [&lower](const std::string& needle) {
-    std::string needle_lower = needle;
-    for (char& c : needle_lower) {
-      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    }
-    return lower.find(needle_lower) != std::string::npos;
+    return lower.find(strings::Lower(needle)) != std::string::npos;
   };
   if (contains_ci(topic.name)) return true;
   if (contains_ci(topic.fact)) return true;

@@ -1,14 +1,30 @@
 #include "text/repair.h"
 
-#include <cctype>
+#include <array>
 #include <string_view>
 
+#include "text/ascii.h"
 #include "text/lexicons.h"
 #include "text/string_util.h"
 #include "text/tokenizer.h"
 
 namespace coachlm {
 namespace repair {
+namespace {
+
+/// Bytes that can change CapitalizeSentences' state once a sentence's
+/// first letter is behind it: a backtick (code fence), a digit (which
+/// swallows a following '.') and the sentence terminators.
+constexpr std::array<bool, 256> kSentenceEvent = [] {
+  std::array<bool, 256> table{};
+  for (size_t c = 0; c < 256; ++c) {
+    table[c] = ascii::IsDigit(static_cast<char>(c)) || c == '`' ||
+               c == '.' || c == '!' || c == '?' || c == '\n';
+  }
+  return table;
+}();
+
+}  // namespace
 
 std::string FixKnownSpelling(const std::string& text) {
   std::string out = text;
@@ -18,14 +34,21 @@ std::string FixKnownSpelling(const std::string& text) {
   return out;
 }
 
-std::string CapitalizeSentences(const std::string& text) {
-  std::string out = text;
+std::string CapitalizeSentences(std::string text) {
   bool at_start = true;
-  bool in_code_fence = false;
-  for (size_t i = 0; i < out.size(); ++i) {
-    const unsigned char c = static_cast<unsigned char>(out[i]);
-    if (c == '`' && i + 2 < out.size() && out[i + 1] == '`' &&
-        out[i + 2] == '`') {
+  bool in_code_fence = false;  // implies !at_start
+  const size_t n = text.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (!at_start) {
+      // Every other byte leaves the state as it is: skip the run.
+      while (i < n && !kSentenceEvent[static_cast<unsigned char>(text[i])]) {
+        ++i;
+      }
+      if (i == n) break;
+    }
+    const char c = text[i];
+    if (c == '`' && i + 2 < n && text[i + 1] == '`' &&
+        text[i + 2] == '`') {
       // Code blocks keep their own casing.
       in_code_fence = !in_code_fence;
       i += 2;
@@ -33,22 +56,22 @@ std::string CapitalizeSentences(const std::string& text) {
       continue;
     }
     if (in_code_fence) continue;
-    if (at_start && std::isalpha(c)) {
-      out[i] = static_cast<char>(std::toupper(c));
+    if (at_start && ascii::IsAlpha(c)) {
+      text[i] = ascii::ToUpper(c);
       at_start = false;
-    } else if (std::isdigit(c)) {
+    } else if (ascii::IsDigit(c)) {
       // List markers like "1." keep the following text as-is; a period
       // right after a digit does not start a new sentence.
       at_start = false;
-      if (i + 1 < out.size() && out[i + 1] == '.') ++i;
+      if (i + 1 < n && text[i + 1] == '.') ++i;
     } else if (c == '.' || c == '!' || c == '?' || c == '\n') {
       at_start = true;
-    } else if (!std::isspace(c) && c != '"' && c != '\'' && c != '(' &&
+    } else if (!ascii::IsSpace(c) && c != '"' && c != '\'' && c != '(' &&
                c != '-') {
       at_start = false;
     }
   }
-  return out;
+  return text;
 }
 
 std::string RemoveDoubledWords(const std::string& text) {

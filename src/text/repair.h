@@ -18,8 +18,9 @@ namespace repair {
 /// Replaces every known misspelling with its correct form.
 std::string FixKnownSpelling(const std::string& text);
 
-/// Upper-cases the first letter of each sentence.
-std::string CapitalizeSentences(const std::string& text);
+/// Upper-cases the first letter of each sentence, in place: callers that
+/// no longer need their text move it in.
+std::string CapitalizeSentences(std::string text);
 
 /// Removes immediately repeated words ("the the" -> "the").
 std::string RemoveDoubledWords(const std::string& text);

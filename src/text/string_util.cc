@@ -1,23 +1,27 @@
 #include "text/string_util.h"
 
-#include <cctype>
+#include "text/ascii.h"
 
 namespace coachlm {
 namespace strings {
 
 std::string Lower(const std::string& s) {
   std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  for (char& c : out) c = ascii::ToLower(c);
   return out;
 }
 
-std::string Trim(const std::string& s) {
+std::string Trim(const std::string& s) { return std::string(TrimView(s)); }
+
+std::string_view TrimView(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(s[begin]))) ++begin;
-  while (end > begin && std::isspace(static_cast<unsigned char>(s[end - 1]))) --end;
+  while (begin < end && ascii::IsSpace(s[begin])) ++begin;
+  while (end > begin && ascii::IsSpace(s[end - 1])) --end;
   return s.substr(begin, end - begin);
 }
+
+bool IsBlank(std::string_view s) { return TrimView(s).empty(); }
 
 std::vector<std::string> Split(const std::string& s, char sep,
                                bool keep_empty) {
@@ -53,6 +57,14 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (ascii::ToLower(a[i]) != ascii::ToLower(b[i])) return false;
+  }
+  return true;
+}
+
 bool Contains(const std::string& s, const std::string& needle) {
   return s.find(needle) != std::string::npos;
 }
@@ -73,7 +85,7 @@ std::string CollapseWhitespace(const std::string& s) {
   out.reserve(s.size());
   bool in_space = false;
   for (char c : s) {
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (ascii::IsSpace(c)) {
       in_space = true;
       continue;
     }
@@ -86,27 +98,28 @@ std::string CollapseWhitespace(const std::string& s) {
 
 std::string Capitalize(std::string s) {
   for (char& c : s) {
-    if (std::isalpha(static_cast<unsigned char>(c))) {
-      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    if (ascii::IsAlpha(c)) {
+      c = ascii::ToUpper(c);
       break;
     }
     // Skip whitespace and opening quotes/brackets; stop at anything else
     // (digits start list items, which keep their own casing).
-    if (!std::isspace(static_cast<unsigned char>(c)) && c != '"' &&
-        c != '\'' && c != '(') {
+    if (!ascii::IsSpace(c) && c != '"' && c != '\'' && c != '(') {
       break;
     }
   }
   return s;
 }
 
-size_t CountWords(const std::string& s) {
+size_t CountWords(std::string_view s) {
+  // A word starts at every non-space byte that follows a space byte or
+  // the start of the text.
   size_t count = 0;
-  bool in_word = false;
-  for (char c : s) {
-    const bool space = std::isspace(static_cast<unsigned char>(c)) != 0;
-    if (!space && !in_word) ++count;
-    in_word = !space;
+  bool prev_space = true;
+  for (const char c : s) {
+    const bool space = ascii::IsSpace(c);
+    count += static_cast<size_t>(prev_space && !space);
+    prev_space = space;
   }
   return count;
 }

@@ -2,12 +2,15 @@
 #define COACHLM_TEXT_STRING_UTIL_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace coachlm {
 
 /// \brief Plain string helpers used across the text stack.
 /// All functions are ASCII-oriented; the corpus generator emits ASCII.
+/// Bytes are classified by the ascii:: table (text/ascii.h), never by the
+/// C locale, so bytes 0x80 and up are neither space nor letters.
 namespace strings {
 
 /// Returns \p s lower-cased (ASCII).
@@ -15,6 +18,13 @@ std::string Lower(const std::string& s);
 
 /// Returns \p s with leading/trailing whitespace removed.
 std::string Trim(const std::string& s);
+
+/// The view of \p s without its leading/trailing whitespace.
+std::string_view TrimView(std::string_view s);
+
+/// True when \p s is empty or all whitespace: Trim(s).empty() without the
+/// copy.
+bool IsBlank(std::string_view s);
 
 /// Splits on \p sep, dropping empty pieces when \p keep_empty is false.
 std::vector<std::string> Split(const std::string& s, char sep,
@@ -30,6 +40,9 @@ bool StartsWith(const std::string& s, const std::string& prefix);
 /// True when \p s ends with \p suffix.
 bool EndsWith(const std::string& s, const std::string& suffix);
 
+/// True when \p a and \p b are equal after ASCII lower-casing.
+bool EqualsIgnoreCase(std::string_view a, std::string_view b);
+
 /// True when \p s contains \p needle.
 bool Contains(const std::string& s, const std::string& needle);
 
@@ -43,8 +56,9 @@ std::string CollapseWhitespace(const std::string& s);
 /// Upper-cases the first alphabetic character.
 std::string Capitalize(std::string s);
 
-/// Number of whitespace-separated words.
-size_t CountWords(const std::string& s);
+/// Number of whitespace-separated words. When \p b is empty or starts
+/// with whitespace, CountWords(a + b) == CountWords(a) + CountWords(b).
+size_t CountWords(std::string_view s);
 
 }  // namespace strings
 }  // namespace coachlm

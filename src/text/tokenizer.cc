@@ -1,14 +1,8 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-
 namespace coachlm {
 namespace tokenizer {
 namespace {
-
-bool IsPunctChar(char c) {
-  return std::ispunct(static_cast<unsigned char>(c)) != 0;
-}
 
 bool IsOpening(const std::string& tok) {
   return tok == "(" || tok == "[" || tok == "{" || tok == "\"" || tok == "'";
@@ -19,7 +13,7 @@ bool IsOpening(const std::string& tok) {
 bool IsPunctuation(std::string_view token) {
   if (token.empty()) return false;
   for (char c : token) {
-    if (!IsPunctChar(c)) return false;
+    if (!ascii::IsPunct(c)) return false;
   }
   return true;
 }
@@ -30,26 +24,6 @@ std::vector<std::string> WhitespaceTokenize(const std::string& text) {
     tokens.emplace_back(field);
   });
   return tokens;
-}
-
-std::string_view WordCore(std::string_view field) {
-  // Peel leading punctuation.
-  size_t begin = 0;
-  while (begin < field.size() && IsPunctChar(field[begin]) &&
-         field[begin] != '-') {
-    ++begin;
-  }
-  // Peel trailing punctuation.
-  size_t end = field.size();
-  while (end > begin && IsPunctChar(field[end - 1]) &&
-         // Keep in-word characters such as the period in "3.14" intact by
-         // only peeling when the remainder is not numeric-ish.
-         !(end >= 2 &&
-           std::isdigit(static_cast<unsigned char>(field[end - 2])) &&
-           field[end - 1] == '.' && end != field.size())) {
-    --end;
-  }
-  return field.substr(begin, end - begin);
 }
 
 std::vector<std::string> WordTokenize(const std::string& text) {
@@ -95,8 +69,7 @@ std::vector<std::string> SplitSentences(const std::string& text) {
     }
     current += c;
     if ((c == '.' || c == '!' || c == '?') &&
-        (i + 1 == text.size() ||
-         std::isspace(static_cast<unsigned char>(text[i + 1])))) {
+        (i + 1 == text.size() || ascii::IsSpace(text[i + 1]))) {
       // Avoid splitting decimal numbers like "3. 5" is fine; "3.5" has no
       // following space so it is not split.
       std::string trimmed;

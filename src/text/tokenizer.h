@@ -1,10 +1,11 @@
 #ifndef COACHLM_TEXT_TOKENIZER_H_
 #define COACHLM_TEXT_TOKENIZER_H_
 
-#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "text/ascii.h"
 
 namespace coachlm {
 
@@ -23,23 +24,38 @@ std::vector<std::string> WordTokenize(const std::string& text);
 /// The word token WordTokenize keeps from one whitespace field: the field
 /// minus the leading and trailing punctuation it splits off as
 /// one-character tokens. Empty (pointing at the split point) when the
-/// field is all punctuation.
-std::string_view WordCore(std::string_view field);
+/// field is all punctuation. Inline: the backbone runs it on every field
+/// of every text it scores.
+inline std::string_view WordCore(std::string_view field) {
+  // Peel leading punctuation.
+  size_t begin = 0;
+  while (begin < field.size() && ascii::IsPunct(field[begin]) &&
+         field[begin] != '-') {
+    ++begin;
+  }
+  // Peel trailing punctuation.
+  size_t end = field.size();
+  while (end > begin && ascii::IsPunct(field[end - 1]) &&
+         // Keep in-word characters such as the period in "3.14" intact by
+         // only peeling when the remainder is not numeric-ish.
+         !(end >= 2 && ascii::IsDigit(field[end - 2]) &&
+           field[end - 1] == '.' && end != field.size())) {
+    --end;
+  }
+  return field.substr(begin, end - begin);
+}
 
 /// Calls \p sink with each whitespace-delimited field of \p text, in
 /// order, as a view into \p text: the fields WhitespaceTokenize returns,
 /// without copying them.
 template <typename Sink>
 void ForEachField(std::string_view text, Sink&& sink) {
-  const auto is_space = [text](size_t i) {
-    return std::isspace(static_cast<unsigned char>(text[i])) != 0;
-  };
   size_t i = 0;
   while (true) {
-    while (i < text.size() && is_space(i)) ++i;
+    while (i < text.size() && ascii::IsSpace(text[i])) ++i;
     if (i == text.size()) return;
     const size_t begin = i;
-    while (i < text.size() && !is_space(i)) ++i;
+    while (i < text.size() && !ascii::IsSpace(text[i])) ++i;
     sink(text.substr(begin, i - begin));
   }
 }

@@ -156,6 +156,85 @@ TEST_F(CoachLmTest, CheckpointRoundTrip) {
   std::remove(path.c_str());
 }
 
+/// The relatedness ReviseResponse compares to the rewrite threshold when
+/// the instruction was revised to \p revised, and the reference that
+/// tallies the original full instruction directly.
+struct RelatednessPair {
+  double revise;
+  double reference;
+};
+
+RelatednessPair Relatedness(const lm::BackboneModel& backbone,
+                            const InstructionPair& pair,
+                            const std::string& revised) {
+  const lm::PreparedQuery context =
+      backbone.Prepare(revised + "\n" + pair.input);
+  return {ResponseRelatedness(backbone, pair, revised, context),
+          backbone.TopicalAgreement(pair.FullInstruction(), pair.output)};
+}
+
+InstructionPair PhotosynthesisPair(const std::string& instruction,
+                                   const std::string& input) {
+  InstructionPair pair;
+  pair.id = 1;
+  pair.instruction = instruction;
+  pair.input = input;
+  pair.output =
+      "Photosynthesis lets plants turn sunlight, water and carbon dioxide "
+      "into glucose, releasing oxygen through the chlorophyll in leaves.";
+  return pair;
+}
+
+TEST_F(CoachLmTest, RelatednessReusesTheContextWhenOnlyCaseChanged) {
+  const lm::BackboneModel& backbone = model_->backbone();
+  const InstructionPair pair = PhotosynthesisPair(
+      "explain how PHOTOSYNTHESIS works in plants.",
+      "Plants capture light with chlorophyll in their leaves.");
+  const RelatednessPair r = Relatedness(
+      backbone, pair, "Explain how photosynthesis works in plants.");
+  EXPECT_GT(r.reference, 0.0);
+  EXPECT_EQ(r.revise, r.reference);
+}
+
+TEST_F(CoachLmTest, RelatednessTalliesTheOriginalAfterATokenSubstitution) {
+  const lm::BackboneModel& backbone = model_->backbone();
+  const InstructionPair pair = PhotosynthesisPair(
+      "Explain teh process of photosynthesis in plants.", "");
+  const std::string revised =
+      "Explain the process of photosynthesis in plants.";
+  const RelatednessPair r = Relatedness(backbone, pair, revised);
+  EXPECT_EQ(r.revise, r.reference);
+  // The revised text tallies differently ("teh" is an unknown content
+  // word, "the" a stopword), so its context must not stand in here.
+  EXPECT_NE(backbone.Prepare(revised + "\n").tally.total,
+            backbone.Prepare(pair.FullInstruction()).tally.total);
+}
+
+TEST_F(CoachLmTest, RelatednessReusesTheContextWithAnEmptyInput) {
+  const lm::BackboneModel& backbone = model_->backbone();
+  const InstructionPair pair =
+      PhotosynthesisPair("describe photosynthesis in detail", "");
+  const RelatednessPair r =
+      Relatedness(backbone, pair, "Describe photosynthesis in detail");
+  EXPECT_GT(r.reference, 0.0);
+  EXPECT_EQ(r.revise, r.reference);
+}
+
+TEST_F(CoachLmTest, RelatednessMatchesTheReferenceOnCorpusRevisions) {
+  const lm::BackboneModel& backbone = model_->backbone();
+  size_t reused = 0;
+  for (size_t i = 0; i < 400; ++i) {
+    const InstructionPair& pair = corpus_->dataset[i];
+    Rng rng = DeriveRng(model_->config().seed, pair.id);
+    const std::string revised = model_->Revise(pair, &rng).instruction;
+    if (strings::EqualsIgnoreCase(revised, pair.instruction)) ++reused;
+    const RelatednessPair r = Relatedness(backbone, pair, revised);
+    EXPECT_EQ(r.revise, r.reference) << pair.id;
+  }
+  EXPECT_GT(reused, 100u);
+  EXPECT_LT(reused, 400u);
+}
+
 TEST_F(CoachLmTest, LoadCheckpointFailsOnMissingFile) {
   EXPECT_FALSE(CoachLm::LoadCheckpoint("/no/such/ckpt.json", {}).ok());
 }

@@ -112,6 +112,27 @@ TEST(LintFixtureTest, UnsafeFnNegative) {
   EXPECT_TRUE(LintFixture("good_unsafe_fn.cc.snippet").empty());
 }
 
+TEST(LintFixtureTest, LocaleCtypePositive) {
+  const std::vector<Finding> findings =
+      LintFixture("src/bad_locale_ctype.cc.snippet");
+  ASSERT_EQ(findings.size(), 2u);
+  // std::isalpha and an unqualified tolower; the comment, the string
+  // literal and ascii-style IsSpace never fire.
+  ExpectFormatted(findings[0], "src/bad_locale_ctype.cc.snippet", 5,
+                  kRuleLocaleCtype);
+  ExpectFormatted(findings[1], "src/bad_locale_ctype.cc.snippet", 8,
+                  kRuleLocaleCtype);
+}
+
+TEST(LintFixtureTest, LocaleCtypeNegativeAsciiTable) {
+  EXPECT_TRUE(LintFixture("src/good_locale_ctype.cc.snippet").empty());
+}
+
+TEST(LintFixtureTest, LocaleCtypeIsScopedToSrc) {
+  // The same calls outside src/ (tests, tools, benches) are allowed.
+  EXPECT_TRUE(LintFixture("locale_ctype_outside_src.cc.snippet").empty());
+}
+
 TEST(LintFixtureTest, IncludeHygienePositive) {
   const std::vector<Finding> findings = LintFixture("bad_guard.h.snippet");
   ASSERT_EQ(findings.size(), 3u);

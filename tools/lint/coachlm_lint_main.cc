@@ -26,8 +26,8 @@ int Usage(const char* argv0) {
                "usage: %s [--max-allows N] <path>...\n"
                "  Lints .cc/.h/.cpp/.hpp files under the given paths.\n"
                "  Rules:\n"
-               "    %s\n    %s\n    %s\n    %s\n    %s\n    %s\n"
-               "    %s\n    %s\n    %s (warning)\n    %s\n"
+               "    %s\n    %s\n    %s (src/ only)\n    %s\n    %s\n    %s\n"
+               "    %s\n    %s\n    %s\n    %s (warning)\n    %s\n"
                "  Suppress one finding with\n"
                "    // COACHLM_LINT_ALLOW(rule): <justification>\n"
                "  on the offending line or the line above.\n"
@@ -36,6 +36,7 @@ int Usage(const char* argv0) {
                "                  escape-hatch budget).\n",
                argv0, coachlm::lint::kRuleBannedSymbol,
                coachlm::lint::kRuleRawClock,
+               coachlm::lint::kRuleLocaleCtype,
                coachlm::lint::kRuleUnorderedSerialization,
                coachlm::lint::kRuleDiscardedStatus,
                coachlm::lint::kRuleUnsafeFn,

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,21 @@ bool IsHeaderPath(const std::string& path) {
 bool IsClockExempt(const std::string& path) {
   return strings::EndsWith(path, "common/clock.h") ||
          strings::EndsWith(path, "common/clock.cc");
+}
+
+/// True when \p path lies in the program's src/ tree: of the repo's
+/// top-level source directories, the innermost one named in the path is
+/// src/ (so tests/lint_fixtures/src/x.cc counts, and a checkout that
+/// itself sits under some .../src/ does not pull tests/ in). Program
+/// output must not depend on the C locale; tools, tests and benches may.
+bool IsProgramSource(const std::string& path) {
+  static const std::set<std::string> kTopLevel = {
+      "src", "tests", "tools", "bench", "examples", "perfbench"};
+  std::string innermost;
+  for (const std::string& part : strings::Split(path, '/')) {
+    if (kTopLevel.count(part) > 0) innermost = part;
+  }
+  return innermost == "src";
 }
 
 /// The canonical registry sources define every name once, so their own
@@ -136,6 +152,9 @@ FileReport LintContentReport(const std::string& path,
   CheckBannedSymbols(path, code, lines, &findings);
   if (!options.clock_exempt) {
     CheckRawClock(path, code, lines, &findings);
+  }
+  if (IsProgramSource(options.logical_path)) {
+    CheckLocaleCtype(path, code, lines, &findings);
   }
   CheckUnorderedSerialization(path, code, lines, options.registry, &findings);
   CheckUnsafeFunctions(path, code, lines, &findings);

@@ -323,6 +323,27 @@ void CheckRawClock(const std::string& path, const std::string& code,
   }
 }
 
+void CheckLocaleCtype(const std::string& path, const std::string& code,
+                      const LineIndex& lines, std::vector<Finding>* findings) {
+  static const char* kCtype[] = {"isspace", "isalpha", "isdigit",
+                                 "ispunct", "isalnum", "isupper",
+                                 "islower", "tolower", "toupper"};
+  for (const char* fn : kCtype) {
+    const std::string word = fn;
+    for (size_t pos = code.find(word); pos != std::string::npos;
+         pos = code.find(word, pos + 1)) {
+      if (!IsWordAt(code, pos, word)) continue;
+      const size_t next = SkipSpaces(code, pos + word.size());
+      if (next >= code.size() || code[next] != '(') continue;
+      findings->push_back({path, lines.LineAt(pos), kRuleLocaleCtype,
+                           word +
+                               "() depends on LC_CTYPE and is a library "
+                               "call per byte; use the ascii:: byte classes "
+                               "(text/ascii.h)"});
+    }
+  }
+}
+
 void CheckUnorderedSerialization(const std::string& path,
                                  const std::string& code,
                                  const LineIndex& lines,

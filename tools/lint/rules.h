@@ -22,6 +22,7 @@ namespace lint {
 /// @{
 inline constexpr char kRuleBannedSymbol[] = "determinism-banned-symbol";
 inline constexpr char kRuleRawClock[] = "determinism-raw-clock";
+inline constexpr char kRuleLocaleCtype[] = "determinism-locale-ctype";
 inline constexpr char kRuleUnorderedSerialization[] =
     "determinism-unordered-serialization";
 inline constexpr char kRuleDiscardedStatus[] = "error-discarded-status";
@@ -67,6 +68,13 @@ void CheckBannedSymbols(const std::string& path, const std::string& code,
 
 void CheckRawClock(const std::string& path, const std::string& code,
                    const LineIndex& lines, std::vector<Finding>* findings);
+
+/// `<cctype>` classification and case mapping (isspace, tolower, ...)
+/// consults LC_CTYPE and is an out-of-line library call per byte; program
+/// code classifies bytes through text/ascii.h instead. The driver runs
+/// this pass on files under src/ only.
+void CheckLocaleCtype(const std::string& path, const std::string& code,
+                      const LineIndex& lines, std::vector<Finding>* findings);
 
 void CheckUnorderedSerialization(const std::string& path,
                                  const std::string& code,
